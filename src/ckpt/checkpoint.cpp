@@ -352,6 +352,7 @@ std::string encode_checkpoint(const Checkpoint& ck) {
   e.str(ck.algo);
   e.u64(ck.graph_hash);
   e.str(ck.routing_mode);
+  e.str(ck.numerics);
   e.i64(ck.threads);
   e.i64(ck.batch);
   e.u32(ck.has_fault_plan ? 1 : 0);
@@ -431,6 +432,8 @@ Checkpoint decode_checkpoint(const std::string& source,
   ck.graph_hash = d.u64();
   ck.field_offsets["routing_mode"] = d.offset();
   ck.routing_mode = d.str();
+  ck.field_offsets["numerics"] = d.offset();
+  ck.numerics = d.str();
   ck.field_offsets["threads"] = d.offset();
   ck.threads = d.i64();
   ck.field_offsets["batch"] = d.offset();
@@ -526,8 +529,8 @@ std::string fault_signature(const Checkpoint& ck) {
 }
 
 void verify_compatible(const Checkpoint& ck, const std::string& algo,
-                       std::uint64_t graph_hash, const clique::Network& net,
-                       bool check_graph_hash) {
+                       std::uint64_t graph_hash, linalg::Backend numerics,
+                       const clique::Network& net, bool check_graph_hash) {
   if (ck.algo != algo) {
     throw CheckpointError(where(ck), offset_of(ck, "algo"),
                           "checkpoint is for algorithm '" + ck.algo +
@@ -548,6 +551,16 @@ void verify_compatible(const Checkpoint& ck, const std::string& algo,
                           "under '" +
                               ck.routing_mode + "', this run charges '" +
                               mode + "'");
+  }
+  const std::string backend = linalg::to_string(numerics);
+  if (ck.numerics != backend) {
+    throw CheckpointError(where(ck), offset_of(ck, "numerics"),
+                          "numerics backend mismatch: checkpoint was written "
+                          "under '" +
+                              ck.numerics + "', this run requests '" +
+                              backend +
+                              "' (the kernel's substitution bits are part of "
+                              "the resumed iterate)");
   }
   const std::string ck_sig = fault_signature(ck);
   const std::string run_sig = fault_signature(net.fault_plan());
@@ -598,12 +611,14 @@ CheckpointWriter::CheckpointWriter(std::string path, std::int64_t every,
 
 void CheckpointWriter::commit(const clique::Network& net,
                               const std::string& algo,
-                              std::uint64_t graph_hash, std::int64_t batch,
+                              std::uint64_t graph_hash,
+                              linalg::Backend numerics, std::int64_t batch,
                               std::string state) {
   Checkpoint ck;
   ck.algo = algo;
   ck.graph_hash = graph_hash;
   ck.routing_mode = clique::to_string(net.routing_mode());
+  ck.numerics = linalg::to_string(numerics);
   ck.threads = threads_;
   ck.batch = batch;
   const fault::FaultPlan* plan = net.fault_plan();
@@ -648,9 +663,10 @@ void poll_cancellation(std::int64_t batch) {
 
 void boundary(const CheckpointHooks& hooks, clique::Network& net,
               std::int64_t batch, const char* algo, std::uint64_t graph_hash,
+              linalg::Backend numerics,
               const std::function<std::string()>& encode_state) {
   if (hooks.writer != nullptr && hooks.writer->due(batch)) {
-    hooks.writer->commit(net, algo, graph_hash, batch, encode_state());
+    hooks.writer->commit(net, algo, graph_hash, numerics, batch, encode_state());
   }
   maybe_preempt(net.fault_plan(), batch);
 }

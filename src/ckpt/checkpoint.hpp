@@ -15,10 +15,11 @@
 //   * the attached FaultPlan's counters (so injected faults replay
 //     identically after resume),
 //
-// under a header carrying a graph hash, routing mode, fault-config
-// signature, and schema version.  The container format is versioned,
-// checksummed (FNV-1a 64), and committed atomically (write `.tmp`, fsync,
-// rename) so a crash mid-snapshot never corrupts the last good checkpoint.
+// under a header carrying a graph hash, routing mode, numerics backend,
+// fault-config signature, and schema version.  The container format is
+// versioned, checksummed (FNV-1a 64), and committed atomically (write `.tmp`,
+// fsync, rename) so a crash mid-snapshot never corrupts the last good
+// checkpoint.
 //
 // Restore is all-or-nothing (the strong guarantee, mirroring the PR 4 io
 // hardening): truncated files, checksum mismatches, schema skew, and
@@ -49,12 +50,13 @@
 #include "graph/digraph.hpp"
 #include "graph/graph.hpp"
 #include "io/dimacs.hpp"
+#include "linalg/backend.hpp"
 #include "obs/round_ledger.hpp"
 
 namespace lapclique::ckpt {
 
 inline constexpr char kMagic[8] = {'L', 'A', 'P', 'C', 'K', 'P', 'T', '1'};
-inline constexpr std::uint32_t kSchemaVersion = 1;
+inline constexpr std::uint32_t kSchemaVersion = 2;
 
 /// FNV-1a 64-bit, the container checksum and the graph-hash primitive.
 /// Exposed so tests can craft adversarial files and callers can hash inputs.
@@ -136,6 +138,7 @@ struct Checkpoint {
   std::string algo;             ///< "maxflow" | "mincost"
   std::uint64_t graph_hash = 0;
   std::string routing_mode;     ///< clique::to_string spelling
+  std::string numerics;         ///< requested backend, linalg::to_string spelling
   std::int64_t threads = 1;     ///< informational: writer's thread count
   std::int64_t batch = 0;       ///< boundary index this snapshot was taken at
 
@@ -179,12 +182,13 @@ void save_checkpoint(const std::string& path, const Checkpoint& ck);
 
 /// Header-vs-run compatibility: algorithm, graph hash (skipped for
 /// warm starts onto an edited graph when `check_graph_hash` is false),
-/// routing mode, and fault signature must all match, else a located
-/// CheckpointError.  Thread count is informational (outputs are
-/// thread-invariant by the determinism contract) and not checked.
+/// routing mode, requested numerics backend, and fault signature must all
+/// match, else a located CheckpointError.  Thread count is informational
+/// (outputs are thread-invariant by the determinism contract) and not
+/// checked.
 void verify_compatible(const Checkpoint& ck, const std::string& algo,
-                       std::uint64_t graph_hash, const clique::Network& net,
-                       bool check_graph_hash = true);
+                       std::uint64_t graph_hash, linalg::Backend numerics,
+                       const clique::Network& net, bool check_graph_hash = true);
 
 /// Restore the run-container state (network accounting, attached ledger,
 /// attached fault plan) from a verified checkpoint.  Must run before the
@@ -209,7 +213,8 @@ class CheckpointWriter {
   /// Snapshot the network (+ attached ledger and fault plan) and the given
   /// algorithm payload, and atomically commit to `path()`.
   void commit(const clique::Network& net, const std::string& algo,
-              std::uint64_t graph_hash, std::int64_t batch, std::string state);
+              std::uint64_t graph_hash, linalg::Backend numerics,
+              std::int64_t batch, std::string state);
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::int64_t every() const { return every_; }
@@ -276,6 +281,7 @@ void poll_cancellation(std::int64_t batch);
 /// (the payload thunk runs only then), then honor a scheduled preemption.
 void boundary(const CheckpointHooks& hooks, clique::Network& net,
               std::int64_t batch, const char* algo, std::uint64_t graph_hash,
+              linalg::Backend numerics,
               const std::function<std::string()>& encode_state);
 
 }  // namespace lapclique::ckpt

@@ -575,7 +575,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     // run left them.  In particular set_phase must NOT run here: the
     // restored ledger already holds the open "maxflow/ipm" phase span, and
     // re-switching would bump its visit count.
-    ckpt::verify_compatible(*hooks.resume, kCkptAlgo, ghash, net);
+    ckpt::verify_compatible(*hooks.resume, kCkptAlgo, ghash, opt.numerics, net);
     ckpt::restore_run_state(*hooks.resume, net);
     st = decode_ipm_state(*hooks.resume, rep);
     it0 = hooks.resume->batch;
@@ -623,8 +623,8 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
       // Theorem 1.1 round cost of this topology is unchanged to first
       // order.  Exactness is never at risk — the finisher closes whatever
       // gap a stale iterate leaves.
-      ckpt::verify_compatible(*hooks.warm_start, kCkptAlgo, ghash, net,
-                              /*check_graph_hash=*/false);
+      ckpt::verify_compatible(*hooks.warm_start, kCkptAlgo, ghash, opt.numerics,
+                              net, /*check_graph_hash=*/false);
       MaxFlowIpmReport old_rep;
       const IpmLoopState old = decode_ipm_state(*hooks.warm_start, old_rep);
       net.set_phase("maxflow/warm_start");
@@ -728,7 +728,9 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     // restarting.  Boundaries double as deadline-check points for the serve
     // frontend, polled even when no checkpoint hooks are attached.
     ckpt::poll_cancellation(0);
-    if (boundaries) ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, encode);
+    if (boundaries) {
+      ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, opt.numerics, encode);
+    }
   }
 
   for (std::int64_t it = it0; it < iters; ++it) {
@@ -758,7 +760,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     // leaves the snapshot it will resume from.
     ckpt::poll_cancellation(it + 1);
     if (boundaries) {
-      ckpt::boundary(hooks, net, it + 1, kCkptAlgo, ghash, encode);
+      ckpt::boundary(hooks, net, it + 1, kCkptAlgo, ghash, opt.numerics, encode);
     }
   }
   if (const char* reason = divergence()) return degrade(reason);

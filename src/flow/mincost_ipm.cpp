@@ -338,7 +338,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // span, and re-switching would bump its visit count.  build_lifted above
     // is charge-free and deterministic, so the rebuilt G1 is the one the
     // checkpoint describes; the decoded sizes are checked against it.
-    ckpt::verify_compatible(*hooks.resume, kCkptAlgo, ghash, net);
+    ckpt::verify_compatible(*hooks.resume, kCkptAlgo, ghash, opt.numerics, net);
     ckpt::restore_run_state(*hooks.resume, net);
     DecodedState ds = decode_ipm_state(*hooks.resume, rep);
     if (static_cast<int>(ds.arc_from.size()) != lf.nq ||
@@ -380,8 +380,8 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // agree) and inherit the checkpointed calibration instead of re-running
     // it: the edit is local, so the Theorem 1.1 round cost of this topology
     // is unchanged to first order.
-    ckpt::verify_compatible(*hooks.warm_start, kCkptAlgo, ghash, net,
-                            /*check_graph_hash=*/false);
+    ckpt::verify_compatible(*hooks.warm_start, kCkptAlgo, ghash, opt.numerics,
+                            net, /*check_graph_hash=*/false);
     MinCostIpmReport old_rep;
     const DecodedState old = decode_ipm_state(*hooks.warm_start, old_rep);
     net.set_phase("mincost/warm_start");
@@ -499,7 +499,9 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // restarting.  Boundaries double as deadline-check points for the serve
     // frontend, polled even when no checkpoint hooks are attached.
     ckpt::poll_cancellation(0);
-    if (boundaries) ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, encode);
+    if (boundaries) {
+      ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, opt.numerics, encode);
+    }
   }
 
   // The historical outer x inner nesting is flattened to one counter t so a
@@ -672,7 +674,9 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // (done) writes no boundary: resume always re-enters the loop live.
     if (!done) {
       ckpt::poll_cancellation(t + 1);
-      if (boundaries) ckpt::boundary(hooks, net, t + 1, kCkptAlgo, ghash, encode);
+      if (boundaries) {
+        ckpt::boundary(hooks, net, t + 1, kCkptAlgo, ghash, opt.numerics, encode);
+      }
     }
   }
   if (const char* reason = divergence()) return degrade(reason);

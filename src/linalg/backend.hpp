@@ -1,8 +1,8 @@
-// The linalg::Backend seam: one switch (`auto | dense | sparse`) deciding
-// which LDL^T path factors a Laplacian, selected per run via
-// Runtime::numerics (core/runtime.hpp) and reported back through
-// FactorStats → LaplacianSolveStats / RunInfo so traces, benches, and golden
-// tests can pin which kernel actually ran.
+// The library's one Laplacian factor (BackendLaplacianFactor) and the
+// linalg::Backend switch (`auto | dense | sparse`) choosing its LDL^T kernel,
+// selected per run via Runtime::numerics (core/runtime.hpp) and reported back
+// through FactorStats → LaplacianSolveStats / RunInfo so traces, benches, and
+// golden tests can pin which kernel actually ran.
 //
 // Resolution contract:
 //   * kDense / kSparse are explicit and always honored.
@@ -16,10 +16,12 @@
 //     it takes one from --numerics or per-request fields.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/sparse_cholesky.hpp"
@@ -56,11 +58,14 @@ struct FactorStats {
   std::int64_t fill_nnz = 0;           ///< nonzeros in the factor (diag incl.)
 };
 
-/// The pluggable Laplacian pseudoinverse factor: dispatches between
-/// linalg::LaplacianFactor (dense) and linalg::SparseLaplacianFactor by the
-/// resolved backend.  Both wrappers share the grounding/projection
-/// arithmetic, so swapping backends changes substitution bits only — round
-/// counts stay pinned by the golden tests under either choice.
+/// The Laplacian pseudoinverse factor: x = L^+ b for a connected or
+/// disconnected Laplacian.  Per component one vertex is grounded (its row
+/// and column pinned to the identity), the grounded SPD matrix is LDL^T
+/// factored by the resolved kernel, and every solve projects b onto range(L)
+/// per component before the substitution and shifts x to mean zero per
+/// component after it.  Labelling, grounding, projection and normalization
+/// are kernel-independent, so swapping kernels changes substitution bits
+/// only — round counts stay pinned by the golden tests under either choice.
 class BackendLaplacianFactor {
  public:
   BackendLaplacianFactor() = default;
@@ -68,9 +73,12 @@ class BackendLaplacianFactor {
   static BackendLaplacianFactor factor(const CsrMatrix& laplacian,
                                        Backend requested = Backend::kAuto);
 
-  [[nodiscard]] int size() const { return n_; }
+  [[nodiscard]] int size() const { return stats_.n; }
   [[nodiscard]] const FactorStats& stats() const { return stats_; }
   [[nodiscard]] Backend chosen() const { return stats_.chosen; }
+  [[nodiscard]] int num_components() const {
+    return static_cast<int>(comp_size_.size());
+  }
 
   /// x = L^+ b.
   [[nodiscard]] Vec solve(std::span<const double> b) const;
@@ -79,12 +87,22 @@ class BackendLaplacianFactor {
   [[nodiscard]] std::vector<Vec> solve_block(std::span<const Vec> b) const;
 
  private:
-  int n_ = 0;
+  /// Per-component mean of a vertex-ordered vector.
+  [[nodiscard]] std::vector<double> component_means(std::span<const double> x) const;
+  /// b minus its per-component mean, grounded entries zeroed, in factor order.
+  [[nodiscard]] Vec project_rhs(std::span<const double> b) const;
+  /// Back to vertex order, then the per-component mean subtracted.
+  [[nodiscard]] Vec normalize(std::span<const double> px) const;
+
   FactorStats stats_;
-  // Exactly one is populated (the other stays empty); dispatch is a branch
-  // on stats_.chosen, fixed at factor time.
-  LaplacianFactor dense_;
-  SparseLaplacianFactor sparse_;
+  std::vector<int> comp_;       ///< component id per vertex
+  std::vector<int> grounded_;   ///< grounded vertex per component (its first)
+  std::vector<int> comp_size_;  ///< vertices per component
+  std::vector<int> perm_;       ///< factor order: perm_[pos] = vertex (RCM for
+                                ///< the sparse kernel, identity for dense)
+  // Exactly one kernel is populated, fixed by stats_.chosen at factor time.
+  DenseLdlt dense_;
+  SparseLdlt sparse_;
 };
 
 }  // namespace lapclique::linalg

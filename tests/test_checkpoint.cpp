@@ -438,6 +438,36 @@ TEST(CheckpointCompat, RoutingModeMismatchRejected) {
   expect_resume_rejected(sweep_flow_network(), rt, "routing mode mismatch");
 }
 
+TEST(CheckpointCompat, NumericsMismatchRejected) {
+  // The requested backend fixes the substitution bits of every electrical
+  // solve, so a resume or warm start under another backend must refuse
+  // rather than quietly continue on a differently rounded iterate.
+  const std::string path = make_checkpoint_file("compat_numerics", sweep_flow_network());
+  const ckpt::Checkpoint ck = ckpt::load_checkpoint(path);
+  const linalg::Backend other = ck.numerics == "sparse" ? linalg::Backend::kDense
+                                                        : linalg::Backend::kSparse;
+  Runtime rt;
+  rt.routing_mode = clique::RoutingMode::kCharged;
+  rt.numerics = other;
+  rt.checkpoint_path = path;
+  rt.resume = true;
+  expect_resume_rejected(sweep_flow_network(), rt, "numerics backend mismatch");
+
+  flow::MaxFlowIpmOptions wopt = quick_max();
+  wopt.numerics = other;
+  wopt.checkpoint.warm_start = &ck;
+  const graph::Digraph g = sweep_flow_network();
+  clique::Network net(g.num_vertices());  // kCharged, as the file was written
+  try {
+    (void)flow::max_flow_clique(g, 0, g.num_vertices() - 1, net, wopt);
+    FAIL() << "expected CheckpointError";
+  } catch (const ckpt::CheckpointError& ex) {
+    const std::string what = ex.what();
+    EXPECT_NE(what.find("numerics backend mismatch"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+}
+
 TEST(CheckpointCompat, AlgorithmMismatchRejected) {
   const std::string path = make_checkpoint_file("compat_algo", sweep_flow_network());
   const graph::Digraph g = graph::random_unit_cost_digraph(9, 24, 5, base_seed() + 41);

@@ -4,6 +4,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
+#include "linalg/backend.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/sparse_cholesky.hpp"
@@ -61,36 +62,48 @@ TEST(DenseLdlt, MatchesCgOnSpdSystem) {
   }
 }
 
+// The Laplacian factor's grounding, projection and normalization are shared
+// by both kernels; each case runs once per kernel.
+constexpr Backend kKernels[] = {Backend::kDense, Backend::kSparse};
+
 TEST(LaplacianFactor, PseudoinverseActionOnConnectedGraph) {
   const graph::Graph g = graph::random_connected_gnm(12, 28, 9);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor f = LaplacianFactor::factor(l);
-  EXPECT_EQ(f.num_components(), 1);
-  Vec b(12, 0.0);
-  b[0] = 3.0;
-  b[7] = -3.0;
-  const Vec x = f.solve(b);
-  // L x = b and mean(x) = 0.
-  const Vec lx = l.multiply(x);
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_NEAR(lx[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)], 1e-9);
+  for (const Backend kernel : kKernels) {
+    SCOPED_TRACE(to_string(kernel));
+    const auto f = BackendLaplacianFactor::factor(l, kernel);
+    EXPECT_EQ(f.chosen(), kernel);
+    EXPECT_EQ(f.num_components(), 1);
+    Vec b(12, 0.0);
+    b[0] = 3.0;
+    b[7] = -3.0;
+    const Vec x = f.solve(b);
+    // L x = b and mean(x) = 0.
+    const Vec lx = l.multiply(x);
+    for (int i = 0; i < 12; ++i) {
+      EXPECT_NEAR(lx[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)], 1e-9);
+    }
+    EXPECT_NEAR(sum(x), 0.0, 1e-9);
   }
-  EXPECT_NEAR(sum(x), 0.0, 1e-9);
 }
 
 TEST(LaplacianFactor, ProjectsOffRangeRhs) {
   const graph::Graph g = graph::cycle(6);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor f = LaplacianFactor::factor(l);
-  // b with nonzero mean: the solver should act on the projected b.
-  Vec b(6, 1.0);
-  b[0] = 4.0;
-  const Vec x = f.solve(b);
-  Vec bp = b;
-  project_out_ones(bp);
-  const Vec lx = l.multiply(x);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_NEAR(lx[static_cast<std::size_t>(i)], bp[static_cast<std::size_t>(i)], 1e-9);
+  for (const Backend kernel : kKernels) {
+    SCOPED_TRACE(to_string(kernel));
+    const auto f = BackendLaplacianFactor::factor(l, kernel);
+    // b with nonzero mean: the solver should act on the projected b.
+    Vec b(6, 1.0);
+    b[0] = 4.0;
+    const Vec x = f.solve(b);
+    Vec bp = b;
+    project_out_ones(bp);
+    const Vec lx = l.multiply(x);
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_NEAR(lx[static_cast<std::size_t>(i)], bp[static_cast<std::size_t>(i)], 1e-9);
+    }
+    EXPECT_NEAR(sum(x), 0.0, 1e-9);
   }
 }
 
@@ -101,13 +114,19 @@ TEST(LaplacianFactor, HandlesDisconnectedComponents) {
   g.add_edge(3, 4);
   g.add_edge(4, 5);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor f = LaplacianFactor::factor(l);
-  EXPECT_EQ(f.num_components(), 2);
-  Vec b{1.0, 0.0, -1.0, 2.0, 0.0, -2.0};
-  const Vec x = f.solve(b);
-  const Vec lx = l.multiply(x);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_NEAR(lx[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)], 1e-9);
+  for (const Backend kernel : kKernels) {
+    SCOPED_TRACE(to_string(kernel));
+    const auto f = BackendLaplacianFactor::factor(l, kernel);
+    EXPECT_EQ(f.num_components(), 2);
+    Vec b{1.0, 0.0, -1.0, 2.0, 0.0, -2.0};
+    const Vec x = f.solve(b);
+    const Vec lx = l.multiply(x);
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_NEAR(lx[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)], 1e-9);
+    }
+    // Pseudoinverse normalization: mean zero per component.
+    EXPECT_NEAR(x[0] + x[1] + x[2], 0.0, 1e-9);
+    EXPECT_NEAR(x[3] + x[4] + x[5], 0.0, 1e-9);
   }
 }
 

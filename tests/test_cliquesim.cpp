@@ -2,7 +2,6 @@
 
 #include "cliquesim/collectives.hpp"
 #include "cliquesim/network.hpp"
-#include "cliquesim/router.hpp"
 
 namespace lapclique::clique {
 namespace {
@@ -166,28 +165,6 @@ TEST(Collectives, GatherToAllConcatenatesAndCharges) {
   EXPECT_EQ(all.size(), 8u);
   // ceil(8/4) + 1 = 3 rounds.
   EXPECT_EQ(net.rounds(), 3);
-}
-
-TEST(Router, FlushDeliversToInboxesByDestination) {
-  Network net(4);
-  Router r(net);
-  r.send(0, 2, 11, std::int64_t{5});
-  r.send(1, 2, 12, 2.5);
-  r.send(3, 0, 13, std::int64_t{-1});
-  EXPECT_EQ(r.staged(), 3u);
-  const auto inboxes = r.flush();
-  EXPECT_EQ(r.staged(), 0u);
-  EXPECT_EQ(inboxes[2].size(), 2u);
-  EXPECT_EQ(inboxes[0].size(), 1u);
-  EXPECT_EQ(inboxes[0][0].payload.as_int(), -1);
-}
-
-TEST(Router, EmptyFlushChargesNothing) {
-  Network net(4);
-  Router r(net);
-  const auto inboxes = r.flush();
-  EXPECT_EQ(net.rounds(), 0);
-  EXPECT_EQ(inboxes.size(), 4u);
 }
 
 TEST(Network, TransmitSubroundDeliversInOneRound) {

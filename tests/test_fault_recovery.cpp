@@ -19,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/laplacian.hpp"
+#include "linalg/backend.hpp"
 #include "test_seed.hpp"
 
 namespace lapclique {
@@ -291,7 +292,7 @@ TEST(SolverGuardRail, ExhaustedRestartsFallBackToExactFactorization) {
   // The fallback is a direct factorization: the answer is exact even though
   // every Chebyshev certification was poisoned.
   const auto l = graph::laplacian(g);
-  const auto xstar = linalg::LaplacianFactor::factor(l).solve(b);
+  const auto xstar = linalg::BackendLaplacianFactor::factor(l, linalg::Backend::kDense).solve(b);
   auto diff = linalg::sub(rep.x, xstar);
   EXPECT_LT(graph::laplacian_norm(l, diff),
             1e-8 * std::max(graph::laplacian_norm(l, xstar), 1e-12));

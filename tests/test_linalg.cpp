@@ -9,7 +9,7 @@
 #include "graph/laplacian.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/chebyshev.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/backend.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/vector_ops.hpp"
@@ -257,7 +257,7 @@ TEST_P(BlockKernels, LaplacianFactorSolveBlockBitwiseEqualsScalar) {
   const exec::ThreadScope scope(threads);
   std::mt19937_64 rng(test::base_seed() + 100 + static_cast<std::uint64_t>(k));
   const graph::Graph g = graph::random_connected_gnm(35, 110, test::base_seed() + 1);
-  const LaplacianFactor f = LaplacianFactor::factor(graph::laplacian(g));
+  const auto f = BackendLaplacianFactor::factor(graph::laplacian(g), Backend::kDense);
   const std::vector<Vec> bs = random_columns(35, k, rng);
 
   std::vector<Vec> want;
@@ -272,7 +272,7 @@ TEST_P(BlockKernels, PreconditionedChebyshevBlockBitwiseEqualsScalar) {
   std::mt19937_64 rng(test::base_seed() + 200 + static_cast<std::uint64_t>(k));
   const graph::Graph g = graph::random_connected_gnm(30, 90, test::base_seed() + 2);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor f = LaplacianFactor::factor(l);
+  const auto f = BackendLaplacianFactor::factor(l, Backend::kDense);
   std::vector<Vec> bs = random_columns(30, k, rng);
   for (Vec& b : bs) project_out_ones(b);
 
@@ -320,7 +320,7 @@ TEST(BlockKernels, SolveBlockHandlesDisconnectedComponents) {
   g.add_edge(1, 2, 2.0);
   g.add_edge(3, 4, 1.0);
   g.add_edge(4, 5, 0.5);
-  const LaplacianFactor f = LaplacianFactor::factor(graph::laplacian(g));
+  const auto f = BackendLaplacianFactor::factor(graph::laplacian(g), Backend::kDense);
   ASSERT_EQ(f.num_components(), 2);
   std::mt19937_64 rng(test::base_seed() + 300);
   const std::vector<Vec> bs = random_columns(6, 4, rng);
@@ -332,7 +332,7 @@ TEST(BlockKernels, SolveBlockHandlesDisconnectedComponents) {
 TEST(BlockKernels, EmptyAndSingleColumnEdgeCases) {
   const graph::Graph g = graph::cycle(8);
   const CsrMatrix l = graph::laplacian(g);
-  const LaplacianFactor f = LaplacianFactor::factor(l);
+  const auto f = BackendLaplacianFactor::factor(l, Backend::kDense);
   EXPECT_TRUE(l.multiply_block({}).empty());
   EXPECT_TRUE(f.solve_block({}).empty());
   const std::vector<Vec> one{Vec(8, 1.5)};
