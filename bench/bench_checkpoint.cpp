@@ -1,14 +1,12 @@
-// E8 — checkpoint/resume: snapshot overhead, resume latency, warm-start
-// savings.
+// E8 — checkpoint/resume: snapshot overhead and resume latency.
 //
 // Sweep 1: checkpoint cadence (off, every 1/4/16 batches) on a max-flow run.
 //   The model cost (rounds, words) must be bit-for-bit unaffected — only the
 //   wall clock pays for snapshots, and the table shows how much.
 // Sweep 2: preempt at a mid-run boundary, resume, and compare the resumed
 //   leg's wall time against a from-scratch run (the batches the checkpoint
-//   already paid for).
-// Sweep 3: warm-start re-solve after an edge insertion vs a cold solve of
-//   the edited instance (IPM batches saved).
+//   already paid for).  Both legs run without a writer, so the comparison
+//   is like for like.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,7 +37,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
   }
   bench::header("E8 (checkpoint/resume)",
-                "snapshots are model-cost-free; resume + warm start save work");
+                "snapshots are model-cost-free; resume saves work");
 
   const int n = 24;
   const int m = 96;
@@ -113,9 +111,7 @@ int main(int argc, char** argv) {
 
     const ckpt::Checkpoint ck = ckpt::load_checkpoint(path);
     clique::Network net2(n);
-    ckpt::CheckpointWriter writer2(path, 1);
     flow::MaxFlowIpmOptions ropt = opt;
-    ropt.checkpoint.writer = &writer2;
     ropt.checkpoint.resume = &ck;
     const double r0 = bench::now_ms();
     const flow::MaxFlowIpmReport resumed =
@@ -135,42 +131,6 @@ int main(int argc, char** argv) {
     resume_row["uninterrupted_wall_ms"] = wall_off;
   }
 
-  // Warm-start re-solve after inserting one arc.
-  obs::json::Object warm_row;
-  {
-    graph::Digraph edited = g;
-    edited.add_arc(s, n / 2, 2);
-    clique::Network cold_net(n);
-    const double c0 = bench::now_ms();
-    const flow::MaxFlowIpmReport cold =
-        flow::max_flow_clique(edited, s, t, cold_net, opt);
-    const double c1 = bench::now_ms();
-
-    const ckpt::Checkpoint ck = ckpt::load_checkpoint(path);
-    flow::MaxFlowIpmOptions wopt = opt;
-    wopt.checkpoint.warm_start = &ck;
-    clique::Network warm_net(n);
-    const double w0 = bench::now_ms();
-    const flow::MaxFlowIpmReport warm =
-        flow::max_flow_clique(edited, s, t, warm_net, wopt);
-    const double w1 = bench::now_ms();
-    bench::row("%-30s | %9s | %9s | %10s | %10s", "warm re-solve (+1 arc)",
-               "batches", "saved", "rounds", "wall ms");
-    bench::row("%-30s | %9d | %9s | %10lld | %10.1f", "cold", cold.ipm_iterations,
-               "-", static_cast<long long>(cold.run.rounds), c1 - c0);
-    bench::row("%-30s | %9d | %9lld | %10lld | %10.1f %s", "warm",
-               warm.ipm_iterations,
-               static_cast<long long>(warm.run.warm_saved_iterations),
-               static_cast<long long>(warm.run.rounds), w1 - w0,
-               warm.value != cold.value ? "[VALUE DIVERGED]" : "");
-    warm_row["cold_ipm_iterations"] = cold.ipm_iterations;
-    warm_row["warm_ipm_iterations"] = warm.ipm_iterations;
-    warm_row["warm_saved_iterations"] = warm.run.warm_saved_iterations;
-    warm_row["cold_wall_ms"] = c1 - c0;
-    warm_row["warm_wall_ms"] = w1 - w0;
-    warm_row["values_match"] = warm.value == cold.value;
-  }
-
   if (json_path != nullptr) {
     obs::json::Object doc;
     doc["schema"] = std::string("lapclique-bench-v1");
@@ -185,7 +145,6 @@ int main(int argc, char** argv) {
     doc["instance"] = obs::json::Value(std::move(inst));
     doc["cadence_sweep"] = obs::json::Value(std::move(cadence));
     doc["resume"] = obs::json::Value(std::move(resume_row));
-    doc["warm_start"] = obs::json::Value(std::move(warm_row));
     std::ofstream out(json_path);
     out << obs::json::Value(std::move(doc)).dump_pretty() << "\n";
   }

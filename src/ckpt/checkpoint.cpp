@@ -530,13 +530,13 @@ std::string fault_signature(const Checkpoint& ck) {
 
 void verify_compatible(const Checkpoint& ck, const std::string& algo,
                        std::uint64_t graph_hash, linalg::Backend numerics,
-                       const clique::Network& net, bool check_graph_hash) {
+                       const clique::Network& net) {
   if (ck.algo != algo) {
     throw CheckpointError(where(ck), offset_of(ck, "algo"),
                           "checkpoint is for algorithm '" + ck.algo +
                               "' but this run is '" + algo + "'");
   }
-  if (check_graph_hash && ck.graph_hash != graph_hash) {
+  if (ck.graph_hash != graph_hash) {
     throw CheckpointError(
         where(ck), offset_of(ck, "graph_hash"),
         "graph hash mismatch: checkpoint " + std::to_string(ck.graph_hash) +

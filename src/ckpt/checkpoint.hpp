@@ -56,7 +56,7 @@
 namespace lapclique::ckpt {
 
 inline constexpr char kMagic[8] = {'L', 'A', 'P', 'C', 'K', 'P', 'T', '1'};
-inline constexpr std::uint32_t kSchemaVersion = 2;
+inline constexpr std::uint32_t kSchemaVersion = 3;
 
 /// FNV-1a 64-bit, the container checksum and the graph-hash primitive.
 /// Exposed so tests can craft adversarial files and callers can hash inputs.
@@ -180,15 +180,13 @@ void save_checkpoint(const std::string& path, const Checkpoint& ck);
 [[nodiscard]] std::string fault_signature(const fault::FaultPlan* plan);
 [[nodiscard]] std::string fault_signature(const Checkpoint& ck);
 
-/// Header-vs-run compatibility: algorithm, graph hash (skipped for
-/// warm starts onto an edited graph when `check_graph_hash` is false),
-/// routing mode, requested numerics backend, and fault signature must all
-/// match, else a located CheckpointError.  Thread count is informational
-/// (outputs are thread-invariant by the determinism contract) and not
-/// checked.
+/// Header-vs-run compatibility: algorithm, graph hash, routing mode,
+/// requested numerics backend, and fault signature must all match, else a
+/// located CheckpointError.  Thread count is informational (outputs are
+/// thread-invariant by the determinism contract) and not checked.
 void verify_compatible(const Checkpoint& ck, const std::string& algo,
                        std::uint64_t graph_hash, linalg::Backend numerics,
-                       const clique::Network& net, bool check_graph_hash = true);
+                       const clique::Network& net);
 
 /// Restore the run-container state (network accounting, attached ledger,
 /// attached fault plan) from a verified checkpoint.  Must run before the
@@ -231,13 +229,10 @@ class CheckpointWriter {
 /// How a run participates in checkpointing, threaded through the IPM option
 /// structs.  All pointers are non-owning and may be null.
 struct CheckpointHooks {
-  CheckpointWriter* writer = nullptr;     ///< write at due boundaries
-  const Checkpoint* resume = nullptr;     ///< continue bit-identically from here
-  const Checkpoint* warm_start = nullptr; ///< seed the iterate from here (graph may differ)
+  CheckpointWriter* writer = nullptr;  ///< write at due boundaries
+  const Checkpoint* resume = nullptr;  ///< continue bit-identically from here
 
-  [[nodiscard]] bool any() const {
-    return writer != nullptr || resume != nullptr || warm_start != nullptr;
-  }
+  [[nodiscard]] bool any() const { return writer != nullptr || resume != nullptr; }
 };
 
 /// Throw fault::PreemptError if the attached plan schedules a process kill

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <queue>
 #include <stdexcept>
-#include <tuple>
 
 #include "euler/flow_round.hpp"
 #include "flow/dinic.hpp"
@@ -364,7 +362,7 @@ std::vector<std::int64_t> repair_to_feasible(const Digraph& g, int s, int t,
   return dinic_max_flow(capped, s, t).flow;
 }
 
-// --- checkpoint/resume/warm-start support (src/ckpt) ------------------------
+// --- checkpoint/resume support (src/ckpt) -----------------------------------
 
 constexpr const char* kCkptAlgo = "maxflow";
 
@@ -452,104 +450,6 @@ IpmLoopState decode_ipm_state(const ckpt::Checkpoint& ck,
   return st;
 }
 
-/// Restore exact conservation at every non-terminal vertex by pushing the
-/// per-vertex excess toward s along a BFS tree, children first — the
-/// fractional twin of snap_and_repair's integral push.
-void repair_conservation(Transformed& tr, int s, int t) {
-  std::vector<double> excess(static_cast<std::size_t>(tr.nv), 0.0);
-  for (const TEdge& e : tr.edges) {
-    excess[static_cast<std::size_t>(e.v)] += e.f;
-    excess[static_cast<std::size_t>(e.u)] -= e.f;
-  }
-  std::vector<int> parent_edge(static_cast<std::size_t>(tr.nv), -1);
-  std::vector<int> bfs_order;
-  {
-    std::vector<std::vector<int>> adj(static_cast<std::size_t>(tr.nv));
-    for (std::size_t i = 0; i < tr.edges.size(); ++i) {
-      adj[static_cast<std::size_t>(tr.edges[i].u)].push_back(static_cast<int>(i));
-      adj[static_cast<std::size_t>(tr.edges[i].v)].push_back(static_cast<int>(i));
-    }
-    std::vector<char> seen(static_cast<std::size_t>(tr.nv), 0);
-    std::queue<int> q;
-    q.push(s);
-    seen[static_cast<std::size_t>(s)] = 1;
-    while (!q.empty()) {
-      const int v = q.front();
-      q.pop();
-      bfs_order.push_back(v);
-      for (int ei : adj[static_cast<std::size_t>(v)]) {
-        const TEdge& e = tr.edges[static_cast<std::size_t>(ei)];
-        const int o = e.u == v ? e.v : e.u;
-        if (seen[static_cast<std::size_t>(o)] == 0) {
-          seen[static_cast<std::size_t>(o)] = 1;
-          parent_edge[static_cast<std::size_t>(o)] = ei;
-          q.push(o);
-        }
-      }
-    }
-  }
-  for (auto it = bfs_order.rbegin(); it != bfs_order.rend(); ++it) {
-    const int v = *it;
-    if (v == s || v == t) continue;
-    const double ex = excess[static_cast<std::size_t>(v)];
-    if (ex == 0) continue;
-    const int ei = parent_edge[static_cast<std::size_t>(v)];
-    if (ei < 0) continue;
-    TEdge& e = tr.edges[static_cast<std::size_t>(ei)];
-    if (e.v == v) {
-      e.f -= ex;
-      excess[static_cast<std::size_t>(e.u)] += ex;
-    } else {
-      e.f += ex;
-      excess[static_cast<std::size_t>(e.v)] += ex;
-    }
-    excess[static_cast<std::size_t>(v)] = 0;
-  }
-}
-
-/// Seed a freshly built Transformed from a checkpointed iterate of a
-/// (possibly edited) graph: transfer flows for structurally matching edges
-/// and duals for surviving vertices, repair conservation, then scale the
-/// whole flow into the strict interior.  Scaling preserves conservation and
-/// f = 0 is interior, so a feasible lambda always exists — the projected
-/// iterate is a valid starting point no matter how drastic the edit was.
-void warm_transfer(Transformed& tr, const Transformed& old, int s, int t) {
-  // Flows keyed by (kind, u, v), parallel edges matched in order.  Old boost
-  // edges (and their virtual vertices) are dropped: they reference arc
-  // surgery the new run has not performed.
-  std::map<std::tuple<int, int, int>, std::vector<double>> flows;
-  for (const TEdge& e : old.edges) {
-    if (e.kind == EKind::kBoost) continue;
-    flows[{static_cast<int>(e.kind), e.u, e.v}].push_back(e.f);
-  }
-  std::map<std::tuple<int, int, int>, std::size_t> cursor;
-  for (TEdge& e : tr.edges) {
-    const std::tuple<int, int, int> key{static_cast<int>(e.kind), e.u, e.v};
-    const auto it = flows.find(key);
-    if (it == flows.end()) continue;
-    std::size_t& idx = cursor[key];
-    if (idx >= it->second.size()) continue;
-    e.f = it->second[idx++];
-  }
-  const std::size_t ny = std::min(tr.y.size(), old.y.size());
-  for (std::size_t v = 0; v < ny; ++v) tr.y[v] = old.y[v];
-
-  repair_conservation(tr, s, t);
-
-  double lambda = 1.0;
-  for (const TEdge& e : tr.edges) {
-    if (e.f > 0) {
-      lambda = std::min(lambda, 0.9 * e.up / e.f);
-    } else if (e.f < 0) {
-      lambda = std::min(lambda, 0.9 * e.um / -e.f);
-    }
-  }
-  lambda = std::max(lambda, 0.0);
-  if (lambda < 1.0) {
-    for (TEdge& e : tr.edges) e.f *= lambda;
-  }
-}
-
 }  // namespace
 
 MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
@@ -614,40 +514,17 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
         2.0 * static_cast<double>(max_cap) * static_cast<double>(g.num_arcs());
     st.target_f = cap_sum + precond_cap + 2.0 * bound;
 
-    if (hooks.warm_start != nullptr) {
-      // Warm start after an edge edit: project the checkpointed iterate
-      // onto the freshly built transformed graph (the graph hash check is
-      // skipped — the instance changed by construction; everything else in
-      // the header must still agree) and inherit the checkpointed
-      // calibration instead of re-running it: the edit is local, so the
-      // Theorem 1.1 round cost of this topology is unchanged to first
-      // order.  Exactness is never at risk — the finisher closes whatever
-      // gap a stale iterate leaves.
-      ckpt::verify_compatible(*hooks.warm_start, kCkptAlgo, ghash, opt.numerics,
-                              net, /*check_graph_hash=*/false);
-      MaxFlowIpmReport old_rep;
-      const IpmLoopState old = decode_ipm_state(*hooks.warm_start, old_rep);
-      net.set_phase("maxflow/warm_start");
-      warm_transfer(st.tr, old.tr, s, t);
-      rep.rounds_per_solve = old_rep.rounds_per_solve;
-      net.charge_announcement();
-      rep.run.used_warm_start = true;
-      rep.run.warm_saved_iterations = hooks.warm_start->batch;
-    } else {
-      // Calibrate the Theorem 1.1 round cost at this topology.
-      net.set_phase("maxflow/calibration");
-      std::vector<ElectricalEdge> cal;
-      for (const TEdge& e : st.tr.edges) cal.push_back({e.u, e.v, resistance(e)});
-      ElectricalOptions eopt;
-      eopt.mode = ElectricalMode::kSparsified;
-      eopt.solver.backend = opt.numerics;
-      rep.rounds_per_solve =
-          ElectricalSolver(st.tr.nv, std::move(cal), eopt).calibrate(opt.solve_eps);
-      {
-        // The calibration solve itself (broadcast rounds, like every solve).
-        net.charge_all_to_all(rep.rounds_per_solve);
-      }
-    }
+    // Calibrate the Theorem 1.1 round cost at this topology.
+    net.set_phase("maxflow/calibration");
+    std::vector<ElectricalEdge> cal;
+    for (const TEdge& e : st.tr.edges) cal.push_back({e.u, e.v, resistance(e)});
+    ElectricalOptions eopt;
+    eopt.mode = ElectricalMode::kSparsified;
+    eopt.solver.backend = opt.numerics;
+    rep.rounds_per_solve =
+        ElectricalSolver(st.tr.nv, std::move(cal), eopt).calibrate(opt.solve_eps);
+    // The calibration solve itself (broadcast rounds, like every solve).
+    net.charge_all_to_all(rep.rounds_per_solve);
   }
 
   Transformed& tr = st.tr;
