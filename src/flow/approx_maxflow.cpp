@@ -117,11 +117,9 @@ ApproxMaxFlowReport approx_max_flow_undirected(const Graph& g, int s, int t,
   {
     std::vector<ElectricalEdge> ee;
     for (const graph::Edge& e : g.edges()) ee.push_back({e.u, e.v, 1.0 / e.w});
-    ElectricalOptions eopt;
-    eopt.mode = ElectricalMode::kSparsified;
-    eopt.solver.backend = opt.numerics;
-    rep.rounds_per_solve =
-        ElectricalSolver(g.num_vertices(), std::move(ee), eopt).calibrate(opt.solve_eps);
+    solver::LaplacianSolverOptions sopt;
+    sopt.backend = opt.numerics;
+    rep.rounds_per_solve = calibrate_rounds(g.num_vertices(), ee, opt.solve_eps, sopt);
     net.charge(rep.rounds_per_solve);
   }
 

@@ -7,15 +7,27 @@
 
 namespace lapclique::flow {
 
-ElectricalSolver::ElectricalSolver(int n, std::vector<ElectricalEdge> edges,
-                                   const ElectricalOptions& opt)
-    : n_(n), edges_(std::move(edges)), opt_(opt), conductance_graph_(n) {
-  for (const ElectricalEdge& e : edges_) {
+namespace {
+
+graph::Graph conductance_graph(int n, std::span<const ElectricalEdge> edges) {
+  graph::Graph g(n);
+  for (const ElectricalEdge& e : edges) {
     if (!(e.resistance > 0)) {
       throw std::invalid_argument("ElectricalSolver: resistances must be positive");
     }
-    conductance_graph_.add_edge(e.u, e.v, 1.0 / e.resistance);
+    g.add_edge(e.u, e.v, 1.0 / e.resistance);
   }
+  return g;
+}
+
+}  // namespace
+
+ElectricalSolver::ElectricalSolver(int n, std::vector<ElectricalEdge> edges,
+                                   const ElectricalOptions& opt)
+    : n_(n),
+      edges_(std::move(edges)),
+      opt_(opt),
+      conductance_graph_(conductance_graph(n, edges_)) {
   laplacian_ = graph::laplacian(conductance_graph_);
   if (opt_.mode == ElectricalMode::kDirect) {
     factor_ = linalg::BackendLaplacianFactor::factor(laplacian_,
@@ -57,15 +69,19 @@ std::vector<double> ElectricalSolver::induced_flow(std::span<const double> phi) 
 }
 
 std::int64_t ElectricalSolver::calibrate(double eps) const {
+  return calibrate_rounds(n_, edges_, eps, opt_.solver);
+}
+
+std::int64_t calibrate_rounds(int n, std::span<const ElectricalEdge> edges, double eps,
+                              const solver::LaplacianSolverOptions& opt) {
   // Run one full Theorem 1.1 solve against a unit demand pair and report the
-  // rounds it charges.  The count depends on topology and eps only.
-  if (n_ < 2) return 0;
-  clique::Network net(n_);
-  solver::LaplacianSolverOptions sopt = opt_.solver;
-  solver::LaplacianSolver s(conductance_graph_, sopt, &net);
-  linalg::Vec chi(static_cast<std::size_t>(n_), 0.0);
+  // rounds it charges.
+  if (n < 2) return 0;
+  clique::Network net(n);
+  const solver::LaplacianSolver s(conductance_graph(n, edges), opt, &net);
+  linalg::Vec chi(static_cast<std::size_t>(n), 0.0);
   chi[0] = -1.0;
-  chi[static_cast<std::size_t>(n_ - 1)] = 1.0;
+  chi[static_cast<std::size_t>(n - 1)] = 1.0;
   (void)s.solve(chi, eps, nullptr, &net);
   return net.rounds();
 }

@@ -55,9 +55,8 @@ class ElectricalSolver {
   [[nodiscard]] std::vector<double> induced_flow(std::span<const double> phi) const;
 
   [[nodiscard]] int size() const { return n_; }
-  /// Rounds one Theorem 1.1 solve would charge at this topology/eps
-  /// (available after the first potentials() call in Sparsified mode, or via
-  /// calibrate()).
+  /// Rounds one Theorem 1.1 solve would charge at this topology/eps:
+  /// calibrate_rounds on this solver's edges and solver options.
   [[nodiscard]] std::int64_t calibrate(double eps) const;
   /// Factorization stats of whichever factor this mode built (the direct
   /// factor, or the sparsified solver's preconditioner factor).
@@ -75,5 +74,13 @@ class ElectricalSolver {
   std::unique_ptr<solver::LaplacianSolver> solver_;  // Sparsified mode
   graph::Graph conductance_graph_;
 };
+
+/// Rounds one Theorem 1.1 solve charges on the conductance graph of `edges`
+/// at `eps` (the count depends on topology and eps only, not on resistance
+/// values).  Builds exactly one LaplacianSolver, on a fresh Network, and
+/// solves one unit demand pair with it.
+[[nodiscard]] std::int64_t calibrate_rounds(int n, std::span<const ElectricalEdge> edges,
+                                            double eps,
+                                            const solver::LaplacianSolverOptions& opt);
 
 }  // namespace lapclique::flow

@@ -518,11 +518,9 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     net.set_phase("maxflow/calibration");
     std::vector<ElectricalEdge> cal;
     for (const TEdge& e : st.tr.edges) cal.push_back({e.u, e.v, resistance(e)});
-    ElectricalOptions eopt;
-    eopt.mode = ElectricalMode::kSparsified;
-    eopt.solver.backend = opt.numerics;
-    rep.rounds_per_solve =
-        ElectricalSolver(st.tr.nv, std::move(cal), eopt).calibrate(opt.solve_eps);
+    solver::LaplacianSolverOptions sopt;
+    sopt.backend = opt.numerics;
+    rep.rounds_per_solve = calibrate_rounds(st.tr.nv, cal, opt.solve_eps, sopt);
     // The calibration solve itself (broadcast rounds, like every solve).
     net.charge_all_to_all(rep.rounds_per_solve);
   }

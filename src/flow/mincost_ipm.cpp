@@ -295,11 +295,9 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                                          lf.f[static_cast<std::size_t>(e)]);
     }
     BipartiteElectrical be = make_electrical(lf, r0);
-    ElectricalOptions eopt;
-    eopt.mode = ElectricalMode::kSparsified;
-    eopt.solver.backend = opt.numerics;
-    rep.rounds_per_solve =
-        ElectricalSolver(be.nv, std::move(be.edges), eopt).calibrate(opt.solve_eps);
+    solver::LaplacianSolverOptions sopt;
+    sopt.backend = opt.numerics;
+    rep.rounds_per_solve = calibrate_rounds(be.nv, be.edges, opt.solve_eps, sopt);
     // The calibration solve itself (broadcast rounds, like every solve).
     net.charge_all_to_all(rep.rounds_per_solve);
     net.set_phase("mincost/ipm");

@@ -237,6 +237,12 @@ void CsrMatrix::multiply_block_axpy_into(double coef, std::span<const Vec> x,
     }
   }
   if (k == 0) return;
+  if (k == 1) {
+    // One column (every scalar Laplacian solve): the single-vector walk keeps
+    // its accumulators in registers instead of the per-shard acc buffer.
+    multiply_axpy_into(coef, x[0], y[0]);
+    return;
+  }
   // multiply_block_into's SELL walk with the fused y[c][r] += coef*s
   // epilogue — see multiply_axpy_into for the bit-identity argument.
   constexpr int C = kSellSlice;

@@ -55,8 +55,9 @@ class CsrMatrix {
                           std::span<double> y) const;
 
   /// Block twin of multiply_axpy_into: y[c] += coef * (A x[c]) for every
-  /// column, one shared pass over the matrix.  Column c is bitwise the
-  /// two-pass `ap = multiply_block(x); axpy(coef, ap[c], y[c])` sequence.
+  /// column, one shared pass over the matrix (k == 1 runs
+  /// multiply_axpy_into).  Column c is bitwise the two-pass
+  /// `ap = multiply_block(x); axpy(coef, ap[c], y[c])` sequence.
   void multiply_block_axpy_into(double coef, std::span<const Vec> x,
                                 std::span<Vec> y) const;
 

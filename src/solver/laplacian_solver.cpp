@@ -129,103 +129,11 @@ Vec LaplacianSolver::solve(std::span<const double> b, double eps,
   if (!(eps > 0 && eps <= 0.5)) {
     throw std::invalid_argument("LaplacianSolver::solve: eps in (0, 1/2]");
   }
-  Vec rhs(b.begin(), b.end());
-  linalg::project_out_ones(rhs);
-  const double bnorm = std::max(linalg::norm2(rhs), 1e-300);
-
-  // Scale the preconditioner solve so B^{-1}A has spectrum in [1/kappa, 1]:
-  // solve_b(r) = L_H^+ r / lambda_max.
-  const linalg::ApplyFn apply_a = [this](std::span<const double> x) {
-    Vec y = lg_.multiply(x);
-    return y;
-  };
-
-  fault::FaultPlan* plan = net != nullptr ? net->fault_plan() : nullptr;
-  double kappa = kappa_;
-  Vec x;
-  int total_iters = 0;
-  int restarts = 0;
-  double rel = 0;
-  for (; restarts <= opt_.max_restarts; ++restarts) {
-    const double lmax = lambda_max_ * (kappa / kappa_);
-    const linalg::ApplyFn solve_b = [this, lmax](std::span<const double> r) {
-      Vec z = lh_factor_.solve(r);
-      linalg::scale(1.0 / lmax, z);
-      return z;
-    };
-    linalg::ChebyshevOptions copt;
-    copt.eps = eps;
-    copt.kappa = kappa;
-    copt.ledger = net != nullptr ? net->tracer() : nullptr;
-    // apply_a is exactly "multiply by lg_", so the fused triad applies.
-    copt.a_matrix = &lg_;
-    linalg::ChebyshevStats cstats;
-    x = linalg::preconditioned_chebyshev(apply_a, solve_b, rhs, copt, &cstats);
-    total_iters += cstats.iterations;
-    rel = cstats.final_residual / bnorm;
-    if (plan != nullptr && plan->solver_nan_due(restarts)) {
-      // Fault drill: pretend this pass diverged so the restart guard rail
-      // (and, under solver-nan@all, the exact fallback) is exercised.
-      rel = std::numeric_limits<double>::quiet_NaN();
-    }
-    // eps is an energy-norm bound; the 2-norm residual check below is a
-    // conservative proxy used only to trigger robustness restarts.  A NaN
-    // residual fails the comparison, so divergence also restarts.
-    if (rel <= eps) break;
-    kappa *= 2.0;
-  }
-  linalg::project_out_ones(x);
-
-  bool healthy = rel <= eps;
-  for (std::size_t i = 0; healthy && i < x.size(); ++i) {
-    if (!std::isfinite(x[i])) healthy = false;
-  }
-  const bool fallback = !healthy;
-  if (fallback) {
-    // Guard rail: every Chebyshev budget was exhausted without a certified
-    // residual (or the iterate went non-finite).  Degrade to the exact
-    // direct factorization of L_G — slower, but always correct.
-    const std::shared_ptr<const linalg::BackendLaplacianFactor> lg_factor =
-        lg_factor_or_build();
-    x = lg_factor->solve(rhs);
-    linalg::project_out_ones(x);
-    Vec res = lg_.multiply(x);
-    for (std::size_t i = 0; i < res.size(); ++i) res[i] -= rhs[i];
-    rel = linalg::norm2(res) / bnorm;
-    if (plan != nullptr) ++plan->stats().solver_fallbacks;
-  }
-
-  if (net != nullptr) {
-    // One broadcast round per Chebyshev iteration (the matvec by L_G);
-    // vector updates and the L_H solve are internal.
-    net->set_phase("solver/chebyshev");
-    net->charge_all_to_all(total_iters + 1);
-    if (fallback) {
-      // The exact solve is centralized: gather b to a coordinator and
-      // broadcast x back (2 n-word vectors through one node's links).
-      net->set_phase("solver/fallback");
-      const auto nn = static_cast<std::int64_t>(net->size());
-      if (net->routing_mode() == clique::RoutingMode::kBroadcast) {
-        // Gather b is one round (everyone broadcasts its entry); sending x
-        // back is n sequential broadcasts from the coordinator.
-        net->charge(nn + 1, 2 * nn);
-      } else {
-        net->charge(4, 2 * nn);
-      }
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->exact_fallback = fallback;
-    stats->chebyshev_iterations = total_iters;
-    stats->restarts = restarts;
-    stats->kappa = kappa;
-    stats->relative_residual = rel;
-    stats->sparsify_stats = sparsify_stats_;
-    stats->sparsifier_edges = h_.num_edges();
-    stats->factor = lh_factor_.stats();
-  }
-  return x;
+  const Vec col(b.begin(), b.end());
+  LaplacianSolveStats st;
+  std::vector<Vec> x = solve_columns({&col, 1}, eps, {&st, 1}, net);
+  if (stats != nullptr) *stats = st;
+  return std::move(x[0]);
 }
 
 std::shared_ptr<const linalg::BackendLaplacianFactor>
@@ -251,26 +159,33 @@ std::vector<Vec> LaplacianSolver::solve_block(
   if (!(eps > 0 && eps <= 0.5)) {
     throw std::invalid_argument("LaplacianSolver::solve_block: eps in (0, 1/2]");
   }
-  if (stats != nullptr) stats->resize(k);
+  std::vector<LaplacianSolveStats> local;
+  std::vector<LaplacianSolveStats>& st = stats != nullptr ? *stats : local;
+  st.resize(k);
   if (k == 0) return {};
 
-  fault::FaultPlan* plan = net != nullptr ? net->fault_plan() : nullptr;
-  if (plan != nullptr) {
-    // A fault plan's counters (solver_nan_due per restart, fallback stats)
-    // advance in the scalar order; run the columns sequentially so drills
-    // observe exactly what k standalone solves would.
-    std::vector<Vec> out;
-    out.reserve(k);
-    for (std::size_t c = 0; c < k; ++c) {
-      LaplacianSolveStats st;
-      out.push_back(solve(bs[c], eps, &st, net));
-      if (stats != nullptr) (*stats)[c] = st;
-    }
-    return out;
+  if (net == nullptr || net->fault_plan() == nullptr) {
+    return solve_columns(bs, eps, st, net);
   }
+  // A fault plan's counters (solver_nan_due per restart, fallback stats)
+  // advance in the scalar order; run the columns one at a time so drills
+  // observe exactly what k standalone solves would.
+  std::vector<Vec> out;
+  out.reserve(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    out.push_back(std::move(
+        solve_columns(bs.subspan(c, 1), eps, std::span(st).subspan(c, 1), net)[0]));
+  }
+  return out;
+}
 
-  // Per-column projected rhs and norm, exactly as the scalar path computes
-  // them.
+std::vector<Vec> LaplacianSolver::solve_columns(std::span<const Vec> bs, double eps,
+                                                std::span<LaplacianSolveStats> stats,
+                                                clique::Network* net) const {
+  const std::size_t k = bs.size();
+  fault::FaultPlan* plan = net != nullptr ? net->fault_plan() : nullptr;
+
+  // Per-column projected rhs and norm.
   std::vector<Vec> rhs;
   rhs.reserve(k);
   std::vector<double> bnorm(k);
@@ -287,17 +202,15 @@ std::vector<Vec> LaplacianSolver::solve_block(
   std::vector<double> rel(k, 0.0);
   std::vector<char> certified(k, 0);
   // Per column: Chebyshev iteration count of each restart level it ran, for
-  // replaying the scalar path's per-call ledger counters.
+  // the per-pass "chebyshev_iterations" ledger counters.
   std::vector<std::vector<int>> level_iters(k);
 
-  const linalg::BlockApplyFn apply_a = [this](std::span<const Vec> xs) {
-    return lg_.multiply_block(xs);
-  };
-
-  // Restart schedule: level L uses kappa_ * 2^L.  A column still active at
-  // level L restarts from zero on its own rhs — the same trajectory a scalar
-  // solve's L-th restart would take — so the block groups every column that
-  // shares a level into one block-Chebyshev call.
+  // Restart schedule: level L uses kappa_ * 2^L.  If the measured residual
+  // exceeds the target, the pass is rerun from zero with doubled kappa
+  // (robustness against a sparsifier whose alpha deviates from the
+  // estimate); a column still active at level L takes exactly the
+  // trajectory a one-column solve's L-th restart would, so the block groups
+  // every column that shares a level into one Chebyshev call.
   double kappa = kappa_;
   for (int level = 0; level <= opt_.max_restarts; ++level) {
     std::vector<std::size_t> active;
@@ -306,6 +219,8 @@ std::vector<Vec> LaplacianSolver::solve_block(
     }
     if (active.empty()) break;
 
+    // Scale the preconditioner solve so B^{-1}A has spectrum in
+    // [1/kappa, 1]: solve_b(r) = L_H^+ r / lambda_max.
     const double lmax = lambda_max_ * (kappa / kappa_);
     const linalg::BlockApplyFn solve_b = [this,
                                           lmax](std::span<const Vec> rs) {
@@ -316,24 +231,26 @@ std::vector<Vec> LaplacianSolver::solve_block(
     linalg::ChebyshevOptions copt;
     copt.eps = eps;
     copt.kappa = kappa;
-    // The ledger counter is replayed per column below, in column order, so
-    // attached tracers see exactly what sequential scalar solves report.
-    copt.ledger = nullptr;
-    copt.a_matrix = &lg_;
 
     std::vector<Vec> brhs;
     brhs.reserve(active.size());
     for (const std::size_t c : active) brhs.push_back(rhs[c]);
     std::vector<linalg::ChebyshevStats> cstats;
-    std::vector<Vec> bx =
-        linalg::preconditioned_chebyshev_block(apply_a, solve_b, brhs, copt, &cstats);
+    std::vector<Vec> bx = linalg::preconditioned_chebyshev(lg_, solve_b, brhs, copt, &cstats);
 
+    // Fault drill: pretend this pass diverged so the restart guard rail (and,
+    // under solver-nan@all, the exact fallback) is exercised.
+    const bool drill = plan != nullptr && plan->solver_nan_due(level);
     for (std::size_t i = 0; i < active.size(); ++i) {
       const std::size_t c = active[i];
       total_iters[c] += cstats[i].iterations;
       level_iters[c].push_back(cstats[i].iterations);
-      rel[c] = cstats[i].final_residual / bnorm[c];
+      rel[c] = drill ? std::numeric_limits<double>::quiet_NaN()
+                     : cstats[i].final_residual / bnorm[c];
       x[c] = std::move(bx[i]);
+      // eps is an energy-norm bound; the 2-norm residual check is a
+      // conservative proxy used only to trigger robustness restarts.  A NaN
+      // residual fails the comparison, so divergence also restarts.
       if (rel[c] <= eps) {
         certified[c] = 1;
         restarts[c] = level;
@@ -353,6 +270,9 @@ std::vector<Vec> LaplacianSolver::solve_block(
       if (!std::isfinite(x[c][i])) healthy = false;
     }
     if (healthy) continue;
+    // Guard rail: every Chebyshev budget was exhausted without a certified
+    // residual (or the iterate went non-finite).  Degrade to the exact
+    // direct factorization of L_G — slower, but always correct.
     fell[c] = 1;
     const std::shared_ptr<const linalg::BackendLaplacianFactor> lg_factor =
         lg_factor_or_build();
@@ -361,23 +281,30 @@ std::vector<Vec> LaplacianSolver::solve_block(
     Vec res = lg_.multiply(x[c]);
     for (std::size_t i = 0; i < res.size(); ++i) res[i] -= rhs[c][i];
     rel[c] = linalg::norm2(res) / bnorm[c];
+    if (plan != nullptr) ++plan->stats().solver_fallbacks;
   }
 
   if (net != nullptr) {
-    // Replay the per-column charging sequence in column order: the Network's
-    // op log, phase ledger, round/word totals, and ledger counters end up
-    // byte-equal to k sequential scalar solves.
+    // Charge column by column, in column order, so the Network's op log,
+    // phase ledger, round/word totals, and ledger counters of a k-column
+    // call equal those of k one-column calls.
     obs::RoundLedger* tracer = net->tracer();
     const auto nn = static_cast<std::int64_t>(net->size());
     for (std::size_t c = 0; c < k; ++c) {
       for (const int iters : level_iters[c]) {
         obs::count(tracer, "chebyshev_iterations", iters);
       }
+      // One broadcast round per Chebyshev iteration (the matvec by L_G);
+      // vector updates and the L_H solve are internal.
       net->set_phase("solver/chebyshev");
       net->charge_all_to_all(total_iters[c] + 1);
       if (fell[c] != 0) {
+        // The exact solve is centralized: gather b to a coordinator and
+        // broadcast x back (2 n-word vectors through one node's links).
         net->set_phase("solver/fallback");
         if (net->routing_mode() == clique::RoutingMode::kBroadcast) {
+          // Gather b is one round (everyone broadcasts its entry); sending x
+          // back is n sequential broadcasts from the coordinator.
           net->charge(nn + 1, 2 * nn);
         } else {
           net->charge(4, 2 * nn);
@@ -386,21 +313,18 @@ std::vector<Vec> LaplacianSolver::solve_block(
     }
   }
 
-  if (stats != nullptr) {
-    for (std::size_t c = 0; c < k; ++c) {
-      LaplacianSolveStats& st = (*stats)[c];
-      st.exact_fallback = fell[c] != 0;
-      st.chebyshev_iterations = total_iters[c];
-      st.restarts = restarts[c];
-      // Scalar stats report kappa after `restarts` doublings of the base.
-      double kap = kappa_;
-      for (int r = 0; r < restarts[c]; ++r) kap *= 2.0;
-      st.kappa = kap;
-      st.relative_residual = rel[c];
-      st.sparsify_stats = sparsify_stats_;
-      st.sparsifier_edges = h_.num_edges();
-      st.factor = lh_factor_.stats();
-    }
+  for (std::size_t c = 0; c < k; ++c) {
+    LaplacianSolveStats& st = stats[c];
+    st.exact_fallback = fell[c] != 0;
+    st.chebyshev_iterations = total_iters[c];
+    st.restarts = restarts[c];
+    double kap = kappa_;
+    for (int r = 0; r < restarts[c]; ++r) kap *= 2.0;
+    st.kappa = kap;
+    st.relative_residual = rel[c];
+    st.sparsify_stats = sparsify_stats_;
+    st.sparsifier_edges = h_.num_edges();
+    st.factor = lh_factor_.stats();
   }
   return x;
 }

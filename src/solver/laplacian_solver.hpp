@@ -73,6 +73,8 @@ class LaplacianSolver {
                            clique::Network* net = nullptr);
 
   /// x ~= L_G^+ b with ||x - L^+ b||_{L_G} <= eps ||L^+ b||_{L_G}.
+  /// A scalar solve is the one-column block solve: solve(b) is exactly
+  /// solve_block({b})[0], stats, charges and all.
   ///
   /// Thread-safe: solve() only reads the artifacts built at construction
   /// (the serve daemon issues concurrent solves against one cached solver);
@@ -82,15 +84,14 @@ class LaplacianSolver {
                                   clique::Network* net = nullptr) const;
 
   /// Batched multi-RHS solve.  Column c of the result is BIT-IDENTICAL to
-  /// solve(bs[c], eps): the restart schedule, fallback decision, and every
-  /// floating-point reduction replay the scalar path per column, while each
-  /// Chebyshev iteration's matvec and preconditioner solve is one shared
-  /// block pass over all columns still active at that restart level
-  /// (linalg::preconditioned_chebyshev_block).  Network charging replays the
-  /// per-column operation sequence in column order, so rounds, words, phase
-  /// ledgers, and trace JSON equal those of sequential scalar solves.  With
-  /// an armed FaultPlan the batch degrades to sequential scalar solves so
-  /// the plan's counters advance in the scalar order.
+  /// solve(bs[c], eps): every column runs its own restart schedule, fallback
+  /// decision and floating-point reductions, while each Chebyshev
+  /// iteration's matvec and preconditioner solve is one shared block pass
+  /// over all columns still active at that restart level
+  /// (linalg::preconditioned_chebyshev).  Network charging runs per column
+  /// in column order, so rounds, words, phase ledgers, and trace JSON equal
+  /// those of sequential one-column solves.  With an armed FaultPlan the
+  /// columns run one at a time so the plan's counters advance in that order.
   [[nodiscard]] std::vector<linalg::Vec> solve_block(
       std::span<const linalg::Vec> bs, double eps,
       std::vector<LaplacianSolveStats>* stats = nullptr,
@@ -116,6 +117,12 @@ class LaplacianSolver {
   graph::Graph h_;
   linalg::CsrMatrix lg_;
   linalg::CsrMatrix lh_;
+  /// The one Chebyshev path behind solve() and solve_block(): restarts,
+  /// exact fallback and round charging for already-validated columns;
+  /// `stats` has one entry per column.
+  std::vector<linalg::Vec> solve_columns(std::span<const linalg::Vec> bs, double eps,
+                                         std::span<LaplacianSolveStats> stats,
+                                         clique::Network* net) const;
   /// Returns the exact L_G factor, building it under the mutex on first use.
   std::shared_ptr<const linalg::BackendLaplacianFactor> lg_factor_or_build() const;
 

@@ -8,7 +8,6 @@
 //     exact elimination order), with per-column block bit-identity;
 //   * each backend is individually bit-stable across thread counts AND
 //     routing modes (outputs are a pure function of the backend choice);
-//   * the fused Chebyshev triad is bitwise the unfused iteration;
 //   * the golden round counts (EXPERIMENTS.md) are backend-independent:
 //     factorization is node-local compute, rounds are communication.
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include "graph/laplacian.hpp"
 #include "graph/rng.hpp"
 #include "linalg/backend.hpp"
-#include "linalg/chebyshev.hpp"
 #include "linalg/sparse_cholesky.hpp"
 #include "solver/laplacian_solver.hpp"
 #include "solver/resistance.hpp"
@@ -183,46 +181,6 @@ TEST(Backend, SolveBlockColumnsBitIdenticalToScalarSolves) {
             << linalg::to_string(backend) << " col " << c << " row " << i;
       }
     }
-  }
-}
-
-// --- the fused Chebyshev triad ----------------------------------------------
-
-TEST(Backend, FusedChebyshevBitwiseEqualsUnfused) {
-  const Graph g = graph::random_connected_gnm(64, 200, test::base_seed() + 331);
-  const linalg::CsrMatrix lap = graph::laplacian(g);
-  // A = L + I is SPD; B = diag(A) (Jacobi) exercises a nontrivial solve_b.
-  std::vector<linalg::Triplet> eye;
-  for (int i = 0; i < 64; ++i) eye.push_back({i, i, 1.0});
-  const linalg::CsrMatrix a = lap.plus(linalg::CsrMatrix::from_triplets(64, eye));
-  std::vector<double> diag(64);
-  for (int i = 0; i < 64; ++i) diag[static_cast<std::size_t>(i)] = a.at(i, i);
-
-  const linalg::ApplyFn apply_a = [&](std::span<const double> v) {
-    return a.multiply(v);
-  };
-  const linalg::ApplyFn jacobi = [&](std::span<const double> v) {
-    linalg::Vec x(v.begin(), v.end());
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] /= diag[i];
-    return x;
-  };
-  const linalg::Vec b = random_vec(64, 333);
-
-  linalg::ChebyshevOptions opt;
-  opt.eps = 1e-10;
-  opt.kappa = 16.0;
-  linalg::ChebyshevStats unfused_stats;
-  const linalg::Vec unfused =
-      linalg::preconditioned_chebyshev(apply_a, jacobi, b, opt, &unfused_stats);
-  opt.a_matrix = &a;  // arm the fused triad
-  linalg::ChebyshevStats fused_stats;
-  const linalg::Vec fused =
-      linalg::preconditioned_chebyshev(apply_a, jacobi, b, opt, &fused_stats);
-
-  EXPECT_EQ(fused_stats.iterations, unfused_stats.iterations);
-  ASSERT_EQ(fused.size(), unfused.size());
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(bits_of(fused[i]), bits_of(unfused[i])) << i;
   }
 }
 

@@ -313,7 +313,7 @@ TEST(Serve, BatchColumnsBitwiseEqualSingleSolves) {
   std::int64_t single_rounds = 0;
   for (std::size_t c = 0; c < bs.size(); ++c) {
     const json::Value resp = parse_ok(server.handle(
-        solve_request("g", bs[c], 1e-6, "s" + std::to_string(c))));
+        solve_request("g", bs[c], 1e-6, std::string("s").append(std::to_string(c)))));
     singles.push_back(response_x(resp));
     single_rounds += resp.at("run").at("rounds").as_int();
   }
@@ -671,7 +671,7 @@ TEST(Serve, ConcurrentSubmissionMatchesSequentialBodies) {
     const auto salt = static_cast<std::uint64_t>(120 + i);
     requests.push_back(solve_request(i % 2 == 0 ? "g1" : "g2",
                                      random_b(i % 2 == 0 ? 19 : 15, salt),
-                                     1e-6, "q" + std::to_string(i)));
+                                     1e-6, std::string("q").append(std::to_string(i))));
   }
   requests.push_back(batch_request(
       "g1", {random_b(19, 131), random_b(19, 132)}, 1e-6, "qb"));
