@@ -528,9 +528,9 @@ std::string fault_signature(const Checkpoint& ck) {
   return text + "#" + std::to_string(ck.fault_seed);
 }
 
-void verify_compatible(const Checkpoint& ck, const std::string& algo,
-                       std::uint64_t graph_hash, linalg::Backend numerics,
-                       const clique::Network& net) {
+void resume_run(const Checkpoint& ck, const std::string& algo,
+                std::uint64_t graph_hash, linalg::Backend numerics,
+                clique::Network& net) {
   if (ck.algo != algo) {
     throw CheckpointError(where(ck), offset_of(ck, "algo"),
                           "checkpoint is for algorithm '" + ck.algo +
@@ -574,10 +574,6 @@ void verify_compatible(const Checkpoint& ck, const std::string& algo,
             "' (the injected fault stream is part of the deterministic "
             "accounting)");
   }
-}
-
-const std::string& restore_run_state(const Checkpoint& ck,
-                                     clique::Network& net) {
   obs::RoundLedger* tracer = net.tracer();
   if (tracer != nullptr && !ck.has_ledger) {
     throw CheckpointError(
@@ -593,7 +589,6 @@ const std::string& restore_run_state(const Checkpoint& ck,
   if (net.fault_plan() != nullptr && ck.has_fault_plan) {
     net.fault_plan()->restore(ck.fault_state);
   }
-  return ck.state;
 }
 
 // --- writer ----------------------------------------------------------------
@@ -638,16 +633,14 @@ void CheckpointWriter::commit(const clique::Network& net,
   ++written_;
 }
 
-void maybe_preempt(const fault::FaultPlan* plan, std::int64_t batch) {
-  if (plan != nullptr && plan->preempt_due(batch)) {
-    throw fault::PreemptError(batch);
-  }
-}
-
 namespace {
 /// The calling thread's boundary check (empty = none).  Thread-local, so
 /// concurrent serve requests each enforce their own deadline.
 thread_local CancellationFn tls_cancellation;
+
+void poll_cancellation(std::int64_t batch) {
+  if (tls_cancellation) tls_cancellation(batch);
+}
 }  // namespace
 
 CancellationScope::CancellationScope(CancellationFn fn)
@@ -657,18 +650,18 @@ CancellationScope::CancellationScope(CancellationFn fn)
 
 CancellationScope::~CancellationScope() { tls_cancellation = std::move(prev_); }
 
-void poll_cancellation(std::int64_t batch) {
-  if (tls_cancellation) tls_cancellation(batch);
-}
-
 void boundary(const CheckpointHooks& hooks, clique::Network& net,
               std::int64_t batch, const char* algo, std::uint64_t graph_hash,
               linalg::Backend numerics,
               const std::function<std::string()>& encode_state) {
+  poll_cancellation(batch);
   if (hooks.writer != nullptr && hooks.writer->due(batch)) {
     hooks.writer->commit(net, algo, graph_hash, numerics, batch, encode_state());
   }
-  maybe_preempt(net.fault_plan(), batch);
+  const fault::FaultPlan* plan = net.fault_plan();
+  if (plan != nullptr && plan->preempt_due(batch)) {
+    throw fault::PreemptError(batch);
+  }
 }
 
 }  // namespace lapclique::ckpt

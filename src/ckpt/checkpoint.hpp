@@ -180,21 +180,19 @@ void save_checkpoint(const std::string& path, const Checkpoint& ck);
 [[nodiscard]] std::string fault_signature(const fault::FaultPlan* plan);
 [[nodiscard]] std::string fault_signature(const Checkpoint& ck);
 
-/// Header-vs-run compatibility: algorithm, graph hash, routing mode,
-/// requested numerics backend, and fault signature must all match, else a
+/// Resume a run from a checkpoint, before the resumed code path charges
+/// anything.  First the header must match the run: algorithm, graph hash,
+/// routing mode, requested numerics backend and fault signature, else a
 /// located CheckpointError.  Thread count is informational (outputs are
-/// thread-invariant by the determinism contract) and not checked.
-void verify_compatible(const Checkpoint& ck, const std::string& algo,
-                       std::uint64_t graph_hash, linalg::Backend numerics,
-                       const clique::Network& net);
-
-/// Restore the run-container state (network accounting, attached ledger,
-/// attached fault plan) from a verified checkpoint.  Must run before the
-/// resumed code path charges anything.  Returns the algorithm payload.
-/// Throws CheckpointError if a tracer is attached but the checkpoint carries
-/// no ledger (the resumed trace could not be byte-faithful).
-const std::string& restore_run_state(const Checkpoint& ck,
-                                     clique::Network& net);
+/// thread-invariant by the determinism contract) and not checked.  A tracer
+/// attached to the run needs a checkpoint that carries a ledger (else the
+/// resumed trace could not be byte-faithful).  Only then is the run
+/// container restored: network accounting, attached ledger, attached fault
+/// plan.  A throw leaves the run untouched.  The algorithm payload stays in
+/// `ck.state` for the caller to decode.
+void resume_run(const Checkpoint& ck, const std::string& algo,
+                std::uint64_t graph_hash, linalg::Backend numerics,
+                clique::Network& net);
 
 /// Writes checkpoints for one run.  `due(batch)` is true every `every`-th
 /// boundary (boundary 0 included, so even a run preempted in its first batch
@@ -235,28 +233,23 @@ struct CheckpointHooks {
   [[nodiscard]] bool any() const { return writer != nullptr || resume != nullptr; }
 };
 
-/// Throw fault::PreemptError if the attached plan schedules a process kill
-/// at this boundary.  Called AFTER the boundary's checkpoint write, so a
-/// preempted run always leaves a resumable snapshot of the batch it died at.
-void maybe_preempt(const fault::FaultPlan* plan, std::int64_t batch);
-
 // --- cooperative cancellation at batch boundaries --------------------------
 //
 // Checkpoint-batch boundaries are the IPMs' natural preemption points; the
 // serving frontend (src/serve) reuses them as *deadline-check* points.  A
 // CancellationScope installs a per-thread check for the duration of one
-// request; the IPM loops poll it at every boundary — even when no checkpoint
-// hooks are attached — so an expired deadline aborts a long run at a clean
-// point instead of hanging the connection.  The check may throw any
-// exception (the serve layer throws its DeadlineError); it must not touch
-// the network, so an aborted run's partial accounting stays readable.
+// request; ckpt::boundary polls it at every boundary — even when no
+// checkpoint hooks are attached — so an expired deadline aborts a long run
+// at a clean point instead of hanging the connection.  The check may throw
+// any exception (the serve layer throws its DeadlineError); it must not
+// touch the network, so an aborted run's partial accounting stays readable.
 
 /// Per-boundary check; `batch` is the boundary index about to run.
 using CancellationFn = std::function<void(std::int64_t batch)>;
 
 /// RAII: installs `fn` as the calling thread's boundary check, restoring
 /// the previous one (usually none) on destruction.  An empty fn is allowed
-/// and makes poll_cancellation a no-op for the scope.
+/// and makes the boundary check a no-op for the scope.
 class CancellationScope {
  public:
   explicit CancellationScope(CancellationFn fn);
@@ -268,12 +261,12 @@ class CancellationScope {
   CancellationFn prev_;
 };
 
-/// Invoke the calling thread's installed check, if any.  Cheap when none is
-/// installed (one thread-local load), so the IPMs call it unconditionally.
-void poll_cancellation(std::int64_t batch);
-
-/// The per-boundary call the IPMs make: write a checkpoint when one is due
-/// (the payload thunk runs only then), then honor a scheduled preemption.
+/// The per-boundary call the IPMs make at every batch boundary: run the
+/// calling thread's installed check (if any), write a checkpoint when one is
+/// due (the payload thunk runs only then), then throw fault::PreemptError if
+/// the attached plan schedules a process kill here.  The write comes first,
+/// so a preempted run always leaves a resumable snapshot of the batch it
+/// died at.  With no writer and no fault plan only the check runs.
 void boundary(const CheckpointHooks& hooks, clique::Network& net,
               std::int64_t batch, const char* algo, std::uint64_t graph_hash,
               linalg::Backend numerics,

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "cliquesim/network.hpp"
+#include "linalg/backend.hpp"
 
 namespace lapclique {
 
@@ -46,6 +47,13 @@ struct RunInfo {
     rounds = net.rounds() - rounds_base;
     words = net.words_sent() - words_base;
     phases = net.ledger();
+  }
+
+  /// Record the backend and fill of the run's last factorization.  Callers
+  /// skip this when the run factored nothing.
+  void record_factor(const linalg::FactorStats& f) {
+    numerics = linalg::to_string(f.chosen);
+    factor_fill = f.fill_nnz;
   }
 };
 

@@ -1,5 +1,6 @@
 #include "euler/flow_round.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -122,6 +123,17 @@ FlowRoundingResult round_flow(const Digraph& g, const Flow& f, int s, int t,
     out.flow[a] = static_cast<double>(units[a]) / inv_delta;
   }
   out.rounds = net.rounds() - rounds_before;
+  return out;
+}
+
+FlowRoundingResult round_flow_lifted(const Digraph& g, const Flow& f, int s, int t,
+                                     clique::Network& net,
+                                     const FlowRoundingOptions& opt) {
+  clique::Network lifted(std::max(g.num_vertices(), 2));
+  lifted.set_routing_mode(net.routing_mode());
+  lifted.set_lenzen_constant(net.lenzen_constant());
+  FlowRoundingResult out = round_flow(g, f, s, t, lifted, opt);
+  net.charge(lifted.rounds(), lifted.words_sent());
   return out;
 }
 

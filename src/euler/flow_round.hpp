@@ -34,4 +34,13 @@ FlowRoundingResult round_flow(const graph::Digraph& g, const graph::Flow& f,
                               int s, int t, clique::Network& net,
                               const FlowRoundingOptions& opt = {});
 
+/// round_flow on a graph with vertices beyond the clique's nodes (the IPMs'
+/// transformed and bipartite graphs): each virtual vertex is simulated by a
+/// real node, so the rounding runs on a lifted network of g's size with
+/// `net`'s routing mode and Lenzen constant, and its rounds and words are
+/// charged to `net` as one operation.  The lifted network has no tracer.
+FlowRoundingResult round_flow_lifted(const graph::Digraph& g, const graph::Flow& f,
+                                     int s, int t, clique::Network& net,
+                                     const FlowRoundingOptions& opt);
+
 }  // namespace lapclique::euler

@@ -63,7 +63,7 @@ DecideResult decide(const Graph& g, int s, int t, double target_f,
       ee.push_back(ElectricalEdge{e.u, e.v, r});
     }
     ElectricalOptions eopt;
-    eopt.solver.backend = opt.numerics;
+    eopt.backend = opt.numerics;
     ElectricalSolver solver(g.num_vertices(), std::move(ee), eopt);
     out.factor = solver.factor_stats();
     const linalg::Vec phi = solver.potentials(chi);
@@ -117,9 +117,8 @@ ApproxMaxFlowReport approx_max_flow_undirected(const Graph& g, int s, int t,
   {
     std::vector<ElectricalEdge> ee;
     for (const graph::Edge& e : g.edges()) ee.push_back({e.u, e.v, 1.0 / e.w});
-    solver::LaplacianSolverOptions sopt;
-    sopt.backend = opt.numerics;
-    rep.rounds_per_solve = calibrate_rounds(g.num_vertices(), ee, opt.solve_eps, sopt);
+    rep.rounds_per_solve =
+        calibrate_rounds(g.num_vertices(), ee, opt.solve_eps, opt.numerics);
     net.charge(rep.rounds_per_solve);
   }
 
@@ -137,10 +136,7 @@ ApproxMaxFlowReport approx_max_flow_undirected(const Graph& g, int s, int t,
     ++rep.probes;
     DecideResult d = decide(g, s, t, mid, opt, net, rep.rounds_per_solve);
     rep.iterations += d.iterations;
-    if (d.iterations > 0) {
-      rep.run.numerics = linalg::to_string(d.factor.chosen);
-      rep.run.factor_fill = d.factor.fill_nnz;
-    }
+    if (d.iterations > 0) rep.run.record_factor(d.factor);
     const double achieved = d.routed_fraction * mid;
     if (achieved > rep.value) {
       rep.value = achieved;

@@ -8,7 +8,8 @@
 //     accounting; default), or
 //   * kNaive      — the rounds a Bellman-Ford/BFS clique implementation
 //     takes (#iterations, each one broadcast round).
-// Benches report both accountings side by side.
+// The flow IPMs always charge kCkklBound; kNaive is selected only by the
+// SSSP module's own tests.
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,7 @@
 
 #include "euler/flow_round.hpp"
 #include "flow/dinic.hpp"
+#include "flow/distributed_sssp.hpp"
 
 namespace lapclique::flow {
 
@@ -16,6 +17,12 @@ using graph::Digraph;
 namespace {
 
 constexpr double kInfCap = 1e18;
+/// Algorithm 2 line 9 (o(1) corrections dropped).
+constexpr double kEta = 1.0 / 14.0;
+/// Cap on the length of the path Boosting puts in place of an edge.
+constexpr int kBoostBetaCap = 64;
+/// Augmentation stops once the routed value is within this of the target.
+constexpr double kTargetSlack = 0.75;
 
 enum class EKind { kDirect, kSourceSide, kSinkSide, kPrecond, kBoost };
 
@@ -79,32 +86,24 @@ double resistance(const TEdge& e) {
 
 double min_residual(const TEdge& e) { return std::min(e.up - e.f, e.um + e.f); }
 
-/// One electrical-flow solve on the current resistances.  Returns potentials.
-linalg::Vec solve_potentials(const Transformed& tr, std::span<const double> chi,
-                             const MaxFlowIpmOptions& opt, clique::Network& net,
-                             std::int64_t rounds_per_solve, int* solves,
-                             linalg::FactorStats* fstats) {
+std::vector<ElectricalEdge> electrical_edges(const Transformed& tr) {
   std::vector<ElectricalEdge> ee;
   ee.reserve(tr.edges.size());
   for (const TEdge& e : tr.edges) {
     ee.push_back(ElectricalEdge{e.u, e.v, resistance(e)});
   }
-  ElectricalOptions eopt;
-  eopt.mode = opt.electrical_mode;
-  eopt.eps = opt.solve_eps;
-  eopt.solver.backend = opt.numerics;
-  ElectricalSolver solver(tr.nv, std::move(ee), eopt);
-  if (fstats != nullptr) *fstats = solver.factor_stats();
-  ++*solves;
-  if (opt.electrical_mode == ElectricalMode::kDirect) {
-    LAPCLIQUE_TRACE_SPAN(net.tracer(), "electrical_solve");
-    obs::count(net.tracer(), "electrical_solves");
-    // Each solve round is a clique-wide broadcast (the same words the
-    // kSparsified path charges through LaplacianSolver::solve).
-    net.charge_all_to_all(rounds_per_solve);
-    return solver.potentials(chi);
-  }
-  return solver.potentials(chi, &net);
+  return ee;
+}
+
+/// One electrical-flow solve on the current resistances, counted in `rep`
+/// and charged on `net`.  Returns potentials.
+linalg::Vec solve_potentials(const Transformed& tr, std::span<const double> chi,
+                             const ElectricalOptions& eopt, clique::Network& net,
+                             MaxFlowIpmReport& rep, linalg::FactorStats& fstats) {
+  const ElectricalSolver solver(tr.nv, electrical_edges(tr), eopt);
+  fstats = solver.factor_stats();
+  ++rep.laplacian_solves;
+  return solver.potentials(chi, &net, rep.rounds_per_solve);
 }
 
 std::vector<double> induced_flow(const Transformed& tr, std::span<const double> phi) {
@@ -135,14 +134,14 @@ double safe_step(const Transformed& tr, const std::vector<double>& dir, double d
 /// Algorithm 3 (Augmentation): one electrical solve, step delta along it.
 /// Returns the congestion vector rho.
 std::vector<double> augmentation(Transformed& tr, int s, int t, double target_f,
-                                 double delta, const MaxFlowIpmOptions& opt,
-                                 clique::Network& net, std::int64_t rps,
-                                 int* solves, linalg::FactorStats* fstats) {
+                                 double delta, const ElectricalOptions& eopt,
+                                 clique::Network& net, MaxFlowIpmReport& rep,
+                                 linalg::FactorStats& fstats) {
   LAPCLIQUE_TRACE_SPAN(net.tracer(), "augmentation");
   linalg::Vec chi(static_cast<std::size_t>(tr.nv), 0.0);
   chi[static_cast<std::size_t>(s)] = -target_f;
   chi[static_cast<std::size_t>(t)] = target_f;
-  const linalg::Vec phi = solve_potentials(tr, chi, opt, net, rps, solves, fstats);
+  const linalg::Vec phi = solve_potentials(tr, chi, eopt, net, rep, fstats);
   const std::vector<double> ftilde = induced_flow(tr, phi);
 
   const double step = safe_step(tr, ftilde, delta);
@@ -165,8 +164,8 @@ std::vector<double> augmentation(Transformed& tr, int s, int t, double target_f,
 
 /// Algorithm 4 (Fixing): local correction + one electrical solve to cancel
 /// the correction's residue.
-void fixing(Transformed& tr, const MaxFlowIpmOptions& opt, clique::Network& net,
-            std::int64_t rps, int* solves, linalg::FactorStats* fstats) {
+void fixing(Transformed& tr, const ElectricalOptions& eopt, clique::Network& net,
+            MaxFlowIpmReport& rep, linalg::FactorStats& fstats) {
   LAPCLIQUE_TRACE_SPAN(net.tracer(), "fixing");
   const std::size_t m = tr.edges.size();
   std::vector<double> theta(m);
@@ -189,8 +188,7 @@ void fixing(Transformed& tr, const MaxFlowIpmOptions& opt, clique::Network& net,
     residue[static_cast<std::size_t>(e.u)] -= step1 * theta[i];
   }
   for (double& r : residue) r = -r;
-  const linalg::Vec phi =
-      solve_potentials(tr, residue, opt, net, rps, solves, fstats);
+  const linalg::Vec phi = solve_potentials(tr, residue, eopt, net, rep, fstats);
   const std::vector<double> thetap = induced_flow(tr, phi);
   const double step2 = safe_step(tr, thetap, 1.0);
   for (std::size_t i = 0; i < m; ++i) tr.edges[i].f += step2 * thetap[i];
@@ -202,15 +200,14 @@ void fixing(Transformed& tr, const MaxFlowIpmOptions& opt, clique::Network& net,
 
 /// Algorithm 5 (Boosting): replace the most congested edges by paths.
 void boosting(Transformed& tr, const std::vector<double>& rho,
-              std::int64_t max_cap, const MaxFlowIpmOptions& opt,
-              clique::Network& net) {
+              std::int64_t max_cap, clique::Network& net) {
   LAPCLIQUE_TRACE_SPAN(net.tracer(), "boosting");
   // rho is the congestion vector of the *last augmentation*; boosting steps
   // in between may have grown the edge list, so only the edges rho covers
   // are candidates.
   const std::size_t m = std::min(tr.edges.size(), rho.size());
   const int k = std::max(
-      1, static_cast<int>(std::pow(static_cast<double>(m), 4.0 * opt.eta)));
+      1, static_cast<int>(std::pow(static_cast<double>(m), 4.0 * kEta)));
   std::vector<std::size_t> order(m);
   for (std::size_t i = 0; i < m; ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&rho](std::size_t a, std::size_t b) {
@@ -222,7 +219,7 @@ void boosting(Transformed& tr, const std::vector<double>& rho,
     TEdge e = tr.edges[ei];
     const double rmin = std::max(min_residual(e), 1e-9);
     int beta = 2 + static_cast<int>(std::ceil(2.0 * static_cast<double>(max_cap) / rmin));
-    beta = std::min(beta, opt.boost_beta_cap);
+    beta = std::min(beta, kBoostBetaCap);
 
     const double grad = 1.0 / (e.up - e.f) - 1.0 / (e.um + e.f);
     // Path u = v0, v1, ..., v_beta = v.
@@ -475,8 +472,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     // run left them.  In particular set_phase must NOT run here: the
     // restored ledger already holds the open "maxflow/ipm" phase span, and
     // re-switching would bump its visit count.
-    ckpt::verify_compatible(*hooks.resume, kCkptAlgo, ghash, opt.numerics, net);
-    ckpt::restore_run_state(*hooks.resume, net);
+    ckpt::resume_run(*hooks.resume, kCkptAlgo, ghash, opt.numerics, net);
     st = decode_ipm_state(*hooks.resume, rep);
     it0 = hooks.resume->batch;
   } else {
@@ -514,27 +510,17 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
         2.0 * static_cast<double>(max_cap) * static_cast<double>(g.num_arcs());
     st.target_f = cap_sum + precond_cap + 2.0 * bound;
 
-    // Calibrate the Theorem 1.1 round cost at this topology.
-    net.set_phase("maxflow/calibration");
-    std::vector<ElectricalEdge> cal;
-    for (const TEdge& e : st.tr.edges) cal.push_back({e.u, e.v, resistance(e)});
-    solver::LaplacianSolverOptions sopt;
-    sopt.backend = opt.numerics;
-    rep.rounds_per_solve = calibrate_rounds(st.tr.nv, cal, opt.solve_eps, sopt);
-    // The calibration solve itself (broadcast rounds, like every solve).
-    net.charge_all_to_all(rep.rounds_per_solve);
+    // Calibrate the Theorem 1.1 round cost at the initial resistances.
+    rep.rounds_per_solve =
+        charge_calibration(net, "maxflow/calibration", st.tr.nv,
+                           electrical_edges(st.tr), opt.solve_eps, opt.numerics);
   }
 
   Transformed& tr = st.tr;
+  const ElectricalOptions eopt{opt.electrical_mode, opt.solve_eps, opt.numerics};
   // Stats of the most recent Laplacian factorization; every iteration factors
   // the same topology, so "last" is also "all" for the backend choice.
   linalg::FactorStats fstats;
-  const auto record_numerics = [&] {
-    if (rep.laplacian_solves > 0) {
-      rep.run.numerics = linalg::to_string(fstats.chosen);
-      rep.run.factor_fill = fstats.fill_nnz;
-    }
-  };
   const double m = static_cast<double>(st.m0);
   const double target_f = st.target_f;
   const std::int64_t rounds_before = st.rounds_before;
@@ -545,7 +531,6 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
 
   // Progress loop (Algorithm 2, lines 6-18).
   fault::FaultPlan* plan = net.fault_plan();
-  const bool boundaries = hooks.writer != nullptr || plan != nullptr;
   // Guard rail: a diverging electrical-flow step leaves NaN/inf in the edge
   // flows or potentials.  Detect it after every solve and degrade to the
   // exact sequential baseline (the whole point of the IPM is round count,
@@ -565,10 +550,6 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     return nullptr;
   };
   const auto degrade = [&](const char* reason) {
-    if (!opt.fallback_on_divergence) {
-      throw std::runtime_error(std::string("max_flow_clique: ") + reason +
-                               " (fallback disabled)");
-    }
     rep.run.used_fallback = true;
     rep.run.fallback_reason = reason;
     if (plan != nullptr) ++plan->stats().ipm_fallbacks;
@@ -581,11 +562,11 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
     rep.value = exact.value;
     rep.flow = exact.flow;
     rep.run.capture(net, rounds_before, words_before);
-    record_numerics();
+    if (rep.laplacian_solves > 0) rep.run.record_factor(fstats);
     return rep;
   };
-  const double delta0 = 1.0 / std::pow(m, 0.5 - opt.eta);
-  const double rho_threshold = std::pow(m, 0.5 - opt.eta) / (33.0 * (1.0 - opt.alpha));
+  const double delta0 = 1.0 / std::pow(m, 0.5 - kEta);
+  const double rho_threshold = std::pow(m, 0.5 - kEta) / 33.0;
   const double budget = 100.0 * opt.iteration_scale / delta0 *
                         std::log2(static_cast<double>(max_cap) + 2.0);
   const std::int64_t iters = std::min<std::int64_t>(
@@ -593,50 +574,41 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
 
   if (hooks.resume == nullptr) {
     net.set_phase("maxflow/ipm");
-    st.rho = augmentation(tr, s, t, target_f, delta0, opt, net,
-                          rep.rounds_per_solve, &rep.laplacian_solves, &fstats);
-    fixing(tr, opt, net, rep.rounds_per_solve, &rep.laplacian_solves, &fstats);
+    st.rho = augmentation(tr, s, t, target_f, delta0, eopt, net, rep, fstats);
+    fixing(tr, eopt, net, rep, fstats);
     ++rep.augmentation_steps;
     if (const char* reason = divergence()) return degrade(reason);
     // Boundary 0: the state after initial augmentation, so even a run
     // preempted inside its very first loop batch resumes instead of
     // restarting.  Boundaries double as deadline-check points for the serve
-    // frontend, polled even when no checkpoint hooks are attached.
-    ckpt::poll_cancellation(0);
-    if (boundaries) {
-      ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, opt.numerics, encode);
-    }
+    // frontend, checked even when no checkpoint hooks are attached.
+    ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, opt.numerics, encode);
   }
 
   for (std::int64_t it = it0; it < iters; ++it) {
     ++rep.ipm_iterations;
     if (const char* reason = divergence()) return degrade(reason);
     const double val = tr.value_out_of(s);
-    if (val >= target_f - opt.target_slack) break;
+    if (val >= target_f - kTargetSlack) break;
 
     double rho3 = 0;
     for (double r : st.rho) rho3 += std::abs(r) * std::abs(r) * std::abs(r);
     rho3 = std::cbrt(rho3);
 
     if (rho3 <= rho_threshold || st.boosts >= 60 || !opt.enable_boosting) {
-      const double delta =
-          std::min(delta0, 1.0 / (33.0 * (1.0 - opt.alpha) * std::max(rho3, 1e-9)));
-      st.rho = augmentation(tr, s, t, target_f, delta, opt, net,
-                            rep.rounds_per_solve, &rep.laplacian_solves, &fstats);
-      fixing(tr, opt, net, rep.rounds_per_solve, &rep.laplacian_solves, &fstats);
+      const double delta = std::min(delta0, 1.0 / (33.0 * std::max(rho3, 1e-9)));
+      st.rho = augmentation(tr, s, t, target_f, delta, eopt, net, rep, fstats);
+      fixing(tr, eopt, net, rep, fstats);
       ++rep.augmentation_steps;
     } else {
-      boosting(tr, st.rho, max_cap, opt, net);
+      boosting(tr, st.rho, max_cap, net);
       ++st.boosts;
       ++rep.boosting_steps;
     }
     // Boundary it+1: the state a continuation entering the loop at it+1
     // needs — written before the preempt check, so a preempted run always
     // leaves the snapshot it will resume from.
-    ckpt::poll_cancellation(it + 1);
-    if (boundaries) {
-      ckpt::boundary(hooks, net, it + 1, kCkptAlgo, ghash, opt.numerics, encode);
-    }
+    ckpt::boundary(hooks, net, it + 1, kCkptAlgo, ghash, opt.numerics, encode);
   }
   if (const char* reason = divergence()) return degrade(reason);
   rep.routed_fraction = tr.value_out_of(s) / std::max(target_f, 1e-9);
@@ -664,14 +636,9 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
   euler::FlowRoundingOptions ropt;
   ropt.delta = delta_grid;
   // The transformed graph's extra (boosted) vertices are virtual: each is
-  // simulated by one of its endpoint's clique nodes, so the rounding runs on
-  // a lifted network and its rounds are charged to the real one.
-  clique::Network lifted_net(std::max(tr.nv, 2));
-  lifted_net.set_routing_mode(net.routing_mode());
-  lifted_net.set_lenzen_constant(net.lenzen_constant());
+  // simulated by one of its endpoint's clique nodes.
   const euler::FlowRoundingResult rounded =
-      euler::round_flow(rg, rf, s, t, lifted_net, ropt);
-  net.charge(lifted_net.rounds(), lifted_net.words_sent());
+      euler::round_flow_lifted(rg, rf, s, t, net, ropt);
   rep.rounding_phases = rounded.phases;
 
   // Extraction to the original digraph: h_a = (g_a + c_a) / 2, then repair
@@ -692,7 +659,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
   // Lines 20-21: augmenting paths to exact optimality.
   net.set_phase("maxflow/augmenting");
   while (true) {
-    auto path = residual_augmenting_path(g, warm, s, t, net, opt.sssp);
+    auto path = residual_augmenting_path(g, warm, s, t, net);
     if (!path.has_value()) break;
     ++rep.finishing_augmenting_paths;
     std::int64_t bottleneck = std::numeric_limits<std::int64_t>::max();
@@ -711,7 +678,7 @@ MaxFlowIpmReport max_flow_clique(const Digraph& g, int s, int t,
   for (int a : g.out_arcs(s)) rep.value += rep.flow[static_cast<std::size_t>(a)];
   for (int a : g.in_arcs(s)) rep.value -= rep.flow[static_cast<std::size_t>(a)];
   rep.run.capture(net, rounds_before, words_before);
-  record_numerics();
+  if (rep.laplacian_solves > 0) rep.run.record_factor(fstats);
   return rep;
 }
 

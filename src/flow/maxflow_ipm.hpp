@@ -20,11 +20,15 @@
 // of finishing paths is reported — the paper predicts O(1) for a fully
 // converged IPM, and EXPERIMENTS.md records the measured values.
 //
-// Round accounting: each IPM iteration's Laplacian solves are charged at the
-// measured Theorem 1.1 cost for this topology/eps ("calibration"; see
-// DESIGN.md §3).  Set `electrical_mode = kSparsified` to run every solve
-// through the full sparsifier pipeline instead (slow; used by one
-// integration test on a small instance).
+// Round accounting: each IPM iteration's Laplacian solves are charged the
+// Theorem 1.1 cost of one calibration solve, measured once on the initial
+// resistances (see DESIGN.md §3).  Set `electrical_mode = kSparsified` to run
+// every solve through the full sparsifier pipeline instead, charged as
+// measured (slow; used on small instances).
+//
+// The algorithm's constants (eta = 1/14, the Boosting path-length cap 64,
+// the target slack 0.75) are fixed in maxflow_ipm.cpp; a run diverging to
+// non-finite state always degrades to the exact Dinic baseline.
 #pragma once
 
 #include <cstdint>
@@ -32,20 +36,16 @@
 #include "ckpt/checkpoint.hpp"
 #include "cliquesim/network.hpp"
 #include "cliquesim/run_info.hpp"
-#include "flow/distributed_sssp.hpp"
 #include "flow/electrical.hpp"
 #include "graph/digraph.hpp"
 
 namespace lapclique::flow {
 
 struct MaxFlowIpmOptions {
-  double eta = 1.0 / 14.0;   ///< Algorithm 2 line 9 (o(1) corrections dropped)
-  double alpha = 0.0;        ///< congestion-threshold constant
   /// Scales the pseudocode's 100 * (1/delta) * log U iteration budget;
   /// 1.0 = faithful, smaller for quick runs (finisher stays exact).
   double iteration_scale = 1.0;
   std::int64_t max_iterations = 500000;
-  int boost_beta_cap = 64;   ///< cap on the path length created by Boosting
   /// Ablation switch: with boosting off, high-congestion iterations fall
   /// back to (smaller-step) augmentation instead of arc surgery.
   bool enable_boosting = true;
@@ -55,19 +55,11 @@ struct MaxFlowIpmOptions {
   /// Runtime::numerics in here when left at kAuto.
   linalg::Backend numerics = linalg::Backend::kAuto;
   double solve_eps = 1e-10;
-  SsspOptions sssp;
-  /// Stop augmenting once the routed value is within this of the target.
-  double target_slack = 0.75;
   /// Optional externally known max-flow value (the outer binary search of
   /// the decision procedure; benches pass the oracle value to measure the
   /// IPM in its intended successful-guess regime).  -1 = derive an upper
   /// bound from local capacities.
   std::int64_t known_value = -1;
-  /// Guard rail: when the electrical-flow state goes non-finite (solver
-  /// divergence, or the ipm-nan fault drill), degrade gracefully to the
-  /// exact sequential Dinic baseline and set MaxFlowIpmReport::used_fallback
-  /// instead of propagating NaNs.  Set false to throw instead.
-  bool fallback_on_divergence = true;
   /// Checkpoint/resume participation (src/ckpt): `writer` commits a
   /// resumable snapshot at every due batch boundary, `resume` continues a
   /// checkpointed run bit-identically.  Both pointers non-owning.
@@ -78,9 +70,10 @@ struct MaxFlowIpmReport {
   std::int64_t value = 0;
   std::vector<std::int64_t> flow;  ///< per original arc
   /// Shared accounting block: run.rounds are the charged model rounds;
-  /// run.used_fallback means the IPM diverged and the result came from the
-  /// exact Dinic baseline (value/flow are still exact; rounds include the
-  /// "maxflow/fallback" gather) — see MaxFlowIpmOptions::fallback_on_divergence.
+  /// run.used_fallback means the electrical-flow state went non-finite
+  /// (solver divergence, or the ipm-nan fault drill) and the result came
+  /// from the exact Dinic baseline (value/flow are still exact; rounds
+  /// include the "maxflow/fallback" gather).
   RunInfo run;
   std::int64_t rounds_per_solve = 0;  ///< calibrated Theorem 1.1 cost
   int ipm_iterations = 0;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "euler/flow_round.hpp"
+#include "flow/distributed_sssp.hpp"
 #include "flow/ssp_mincost.hpp"
 
 namespace lapclique::flow {
@@ -16,6 +17,7 @@ using graph::Digraph;
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kEta = 1.0 / 14.0;  ///< Alg 7 line 13
 
 /// The lifted instance: G1 = original arcs + auxiliary feasibility arcs,
 /// then the bipartite b-matching encoding (Algorithm 7).
@@ -135,20 +137,33 @@ BipartiteElectrical make_electrical(const Lifted& lf,
                                       lf.q_of_edge(static_cast<int>(e)),
                                       resist_bip[e]});
   }
+  // Star weight of each P vertex, summed over its bipartite edges in
+  // ascending edge order (one pass over the edges).
+  std::vector<double> a(static_cast<std::size_t>(lf.np), 0.0);
+  for (int e = 0; e < 2 * lf.nq; ++e) {
+    a[static_cast<std::size_t>(lf.p_of_edge(e))] +=
+        lf.nu[static_cast<std::size_t>(e)] + lf.nu[static_cast<std::size_t>(e ^ 1)];
+  }
   const auto m = static_cast<double>(resist_bip.size());
-  const double eta = 1.0 / 14.0;
   for (int u = 0; u < lf.np; ++u) {
-    double a = 0;
-    for (int e = 0; e < 2 * lf.nq; ++e) {
-      if (lf.p_of_edge(e) == u) {
-        a += lf.nu[static_cast<std::size_t>(e)] +
-             lf.nu[static_cast<std::size_t>(e ^ 1)];
-      }
-    }
-    const double r = std::pow(m, 1.0 + 2.0 * eta) / std::max(a, 1e-9);
+    const double r = std::pow(m, 1.0 + 2.0 * kEta) /
+                     std::max(a[static_cast<std::size_t>(u)], 1e-9);
     be.edges.push_back(ElectricalEdge{v0, u, r});
   }
   return be;
+}
+
+/// One Progress solve on the bipartite graph + star for resistances `r`,
+/// counted in `rep` and charged on `net`.  Returns potentials.
+linalg::Vec solve_potentials(const Lifted& lf, const std::vector<double>& r,
+                             std::span<const double> chi,
+                             const ElectricalOptions& eopt, clique::Network& net,
+                             MinCostIpmReport& rep, linalg::FactorStats& fstats) {
+  BipartiteElectrical be = make_electrical(lf, r);
+  const ElectricalSolver solver(be.nv, std::move(be.edges), eopt);
+  fstats = solver.factor_stats();
+  ++rep.laplacian_solves;
+  return solver.potentials(chi, &net, rep.rounds_per_solve);
 }
 
 // --- checkpoint/resume support (src/ckpt) -----------------------------------
@@ -263,8 +278,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // span, and re-switching would bump its visit count.  build_lifted above
     // is charge-free and deterministic, so the rebuilt G1 is the one the
     // checkpoint describes; the decoded sizes are checked against it.
-    ckpt::verify_compatible(*hooks.resume, kCkptAlgo, ghash, opt.numerics, net);
-    ckpt::restore_run_state(*hooks.resume, net);
+    ckpt::resume_run(*hooks.resume, kCkptAlgo, ghash, opt.numerics, net);
     DecodedState ds = decode_ipm_state(*hooks.resume, rep);
     if (ds.f.size() != static_cast<std::size_t>(me) ||
         ds.y.size() != static_cast<std::size_t>(lf.np + lf.nq)) {
@@ -286,20 +300,16 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     st.words_before = net.words_sent();
     net.charge_announcement();
 
-    // Calibrate the Theorem 1.1 round charge at this topology.
-    net.set_phase("mincost/calibration");
+    // Calibrate the Theorem 1.1 round charge at the initial resistances.
     std::vector<double> r0(static_cast<std::size_t>(me));
     for (int e = 0; e < me; ++e) {
       r0[static_cast<std::size_t>(e)] = lf.nu[static_cast<std::size_t>(e)] /
                                         (lf.f[static_cast<std::size_t>(e)] *
                                          lf.f[static_cast<std::size_t>(e)]);
     }
-    BipartiteElectrical be = make_electrical(lf, r0);
-    solver::LaplacianSolverOptions sopt;
-    sopt.backend = opt.numerics;
-    rep.rounds_per_solve = calibrate_rounds(be.nv, be.edges, opt.solve_eps, sopt);
-    // The calibration solve itself (broadcast rounds, like every solve).
-    net.charge_all_to_all(rep.rounds_per_solve);
+    const BipartiteElectrical be = make_electrical(lf, r0);
+    rep.rounds_per_solve = charge_calibration(net, "mincost/calibration", be.nv,
+                                              be.edges, opt.solve_eps, opt.numerics);
     net.set_phase("mincost/ipm");
   }
 
@@ -316,19 +326,13 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
 
   // Main loop (Algorithm 6) with the CMSV budget and early exit on mu_hat.
   fault::FaultPlan* plan = net.fault_plan();
-  const bool boundaries = hooks.writer != nullptr || plan != nullptr;
   const std::int64_t rounds_before = st.rounds_before;
   const std::int64_t words_before = st.words_before;
+  const ElectricalOptions eopt{opt.electrical_mode, opt.solve_eps, opt.numerics};
   // Stats of the most recent Laplacian factorization; every Progress step
   // factors the same bipartite topology, so "last" is also "all" for the
   // backend choice.
   linalg::FactorStats fstats;
-  const auto record_numerics = [&] {
-    if (rep.laplacian_solves > 0) {
-      rep.run.numerics = linalg::to_string(fstats.chosen);
-      rep.run.factor_fill = fstats.fill_nnz;
-    }
-  };
   // Guard rail: a diverging electrical-flow step leaves NaN/inf in the
   // central-path state.  Detect it after every Progress step and degrade to
   // the exact sequential SSP baseline.
@@ -350,10 +354,6 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     return nullptr;
   };
   const auto degrade = [&](const char* reason) {
-    if (!opt.fallback_on_divergence) {
-      throw std::runtime_error(std::string("min_cost_flow_clique: ") + reason +
-                               " (fallback disabled)");
-    }
     rep.run.used_fallback = true;
     rep.run.fallback_reason = reason;
     if (plan != nullptr) ++plan->stats().ipm_fallbacks;
@@ -369,19 +369,18 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     rep.cost = exact.feasible ? exact.cost : 0;
     if (exact.feasible) rep.flow = exact.flow;
     rep.run.capture(net, rounds_before, words_before);
-    record_numerics();
+    if (rep.laplacian_solves > 0) rep.run.record_factor(fstats);
     return rep;
   };
-  const double eta = opt.eta;
   const double logw = std::log2(lf.c_inf + 2.0);
   const double c_rho = 400.0 * std::sqrt(3.0) * std::cbrt(std::max(logw, 1.0));
   const double c_t = 3.0 * c_rho * std::max(logw, 1.0);
   const std::int64_t outer = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::ceil(
-             opt.iteration_scale * c_t * std::pow(m, 0.5 - 3.0 * eta))));
+             opt.iteration_scale * c_t * std::pow(m, 0.5 - 3.0 * kEta))));
   const std::int64_t inner = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::ceil(std::pow(m, 2.0 * eta))));
-  const double rho_threshold = c_rho * std::pow(m, 0.5 - eta);
+      1, static_cast<std::int64_t>(std::ceil(std::pow(m, 2.0 * kEta))));
+  const double rho_threshold = c_rho * std::pow(m, 0.5 - kEta);
   const double mu_exit = 1.0 / (8.0 * m * lf.c_inf);
 
   std::vector<double>& rho = st.rho;
@@ -401,11 +400,8 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // Boundary 0: the state after calibration, before any Progress step, so
     // even a run preempted inside its very first batch resumes instead of
     // restarting.  Boundaries double as deadline-check points for the serve
-    // frontend, polled even when no checkpoint hooks are attached.
-    ckpt::poll_cancellation(0);
-    if (boundaries) {
-      ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, opt.numerics, encode);
-    }
+    // frontend, checked even when no checkpoint hooks are attached.
+    ckpt::boundary(hooks, net, 0, kCkptAlgo, ghash, opt.numerics, encode);
   }
 
   // The historical outer x inner nesting is flattened to one counter t so a
@@ -462,25 +458,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                          lf.f[static_cast<std::size_t>(e)],
                      1e-18);
       }
-      BipartiteElectrical be = make_electrical(lf, r);
-      ElectricalOptions eopt;
-      eopt.mode = opt.electrical_mode;
-      eopt.eps = opt.solve_eps;
-      eopt.solver.backend = opt.numerics;
-      ElectricalSolver solver1(be.nv, be.edges, eopt);
-      fstats = solver1.factor_stats();
-      ++rep.laplacian_solves;
-      linalg::Vec phi;
-      if (opt.electrical_mode == ElectricalMode::kDirect) {
-        LAPCLIQUE_TRACE_SPAN(net.tracer(), "electrical_solve");
-        obs::count(net.tracer(), "electrical_solves");
-        // Each solve round is a clique-wide broadcast (the same words the
-        // kSparsified path charges through LaplacianSolver::solve).
-        net.charge_all_to_all(rep.rounds_per_solve);
-        phi = solver1.potentials(chi);
-      } else {
-        phi = solver1.potentials(chi, &net);
-      }
+      const linalg::Vec phi = solve_potentials(lf, r, chi, eopt, net, rep, fstats);
       std::vector<double> ftilde(static_cast<std::size_t>(me));
       for (int e = 0; e < me; ++e) {
         ftilde[static_cast<std::size_t>(e)] =
@@ -521,7 +499,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
             (sprime[static_cast<std::size_t>(e)] >= 0 ? 1.0 : -1.0);
       }
       // Residue of f' - f# becomes the second solve's demand.
-      linalg::Vec chi2(static_cast<std::size_t>(be.nv), 0.0);
+      linalg::Vec chi2(chi.size(), 0.0);
       for (int e = 0; e < me; ++e) {
         const double d = fprime[static_cast<std::size_t>(e)] -
                          fsharp[static_cast<std::size_t>(e)];
@@ -536,20 +514,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
                          lf.s[static_cast<std::size_t>(e)],
                      1e-18);
       }
-      BipartiteElectrical be2 = make_electrical(lf, r2);
-      ElectricalSolver solver2(be2.nv, be2.edges, eopt);
-      ++rep.laplacian_solves;
-      linalg::Vec phi2;
-      if (opt.electrical_mode == ElectricalMode::kDirect) {
-        LAPCLIQUE_TRACE_SPAN(net.tracer(), "electrical_solve");
-        obs::count(net.tracer(), "electrical_solves");
-        // Each solve round is a clique-wide broadcast (the same words the
-        // kSparsified path charges through LaplacianSolver::solve).
-        net.charge_all_to_all(rep.rounds_per_solve);
-        phi2 = solver2.potentials(chi2);
-      } else {
-        phi2 = solver2.potentials(chi2, &net);
-      }
+      const linalg::Vec phi2 = solve_potentials(lf, r2, chi2, eopt, net, rep, fstats);
       for (int e = 0; e < me; ++e) {
         const double ft2 = (phi2[static_cast<std::size_t>(lf.q_of_edge(e))] -
                             phi2[static_cast<std::size_t>(lf.p_of_edge(e))]) /
@@ -577,10 +542,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     // run always leaves the snapshot it will resume from.  A finished iterate
     // (done) writes no boundary: resume always re-enters the loop live.
     if (!done) {
-      ckpt::poll_cancellation(t + 1);
-      if (boundaries) {
-        ckpt::boundary(hooks, net, t + 1, kCkptAlgo, ghash, opt.numerics, encode);
-      }
+      ckpt::boundary(hooks, net, t + 1, kCkptAlgo, ghash, opt.numerics, encode);
     }
   }
   if (const char* reason = divergence()) return degrade(reason);
@@ -605,14 +567,16 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
       units[static_cast<std::size_t>(2 * q + 1)] =
           static_cast<std::int64_t>(std::llround(1.0 / grid)) - u0;
     }
-    // Digraph: s -> P -> Q -> t.
+    // Digraph s -> P -> Q -> t carrying the real matching costs, so the
+    // cost-aware rounding rule applies.
     const int s_node = lf.np + lf.nq;
     const int t_node = lf.np + lf.nq + 1;
     Digraph rg(lf.np + lf.nq + 2);
     graph::Flow rf;
     std::vector<std::int64_t> p_out(static_cast<std::size_t>(lf.np), 0);
     for (int e = 0; e < me; ++e) {
-      rg.add_arc(lf.p_of_edge(e), lf.q_of_edge(e), 2, 0);
+      rg.add_arc(lf.p_of_edge(e), lf.q_of_edge(e), 2,
+                 static_cast<std::int64_t>(lf.cost_of_edge(e)));
       rf.push_back(static_cast<double>(units[static_cast<std::size_t>(e)]) * grid);
       p_out[static_cast<std::size_t>(lf.p_of_edge(e))] +=
           units[static_cast<std::size_t>(e)];
@@ -629,25 +593,9 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     ropt.delta = grid;
     ropt.use_costs = true;
     // The bipartite lift's Q vertices (one per arc) are virtual: each is
-    // simulated by its arc's tail node, so rounding runs on a lifted network
-    // whose rounds are charged to the real one.
-    clique::Network lifted_net(lf.np + lf.nq + 2);
-    lifted_net.set_routing_mode(net.routing_mode());
-    lifted_net.set_lenzen_constant(net.lenzen_constant());
-    // Attach the real matching costs so the cost-aware rule applies.
-    Digraph rg_costed(lf.np + lf.nq + 2);
-    for (int e = 0; e < me; ++e) {
-      rg_costed.add_arc(lf.p_of_edge(e), lf.q_of_edge(e), 2,
-                        static_cast<std::int64_t>(lf.cost_of_edge(e)));
-    }
-    for (int u = 0; u < lf.np; ++u) {
-      rg_costed.add_arc(s_node, u,
-                        std::max<std::int64_t>(lf.b[static_cast<std::size_t>(u)], 1) + 2, 0);
-    }
-    for (int q = 0; q < lf.nq; ++q) rg_costed.add_arc(lf.np + q, t_node, 3, 0);
+    // simulated by its arc's tail node.
     const euler::FlowRoundingResult rr =
-        euler::round_flow(rg_costed, rf, s_node, t_node, lifted_net, ropt);
-    net.charge(lifted_net.rounds(), lifted_net.words_sent());
+        euler::round_flow_lifted(rg, rf, s_node, t_node, net, ropt);
     rep.rounding_phases = rr.phases;
 
     // Matched side per arc of G1.
@@ -726,7 +674,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
         if (relaxed_vertex == -1) break;
       }
       net.charge(static_cast<std::int64_t>(
-          std::ceil(std::pow(std::max(2, n1), opt.sssp.ckkl_exponent))));
+          std::ceil(std::pow(std::max(2, n1), SsspOptions{}.ckkl_exponent))));
       if (relaxed_vertex == -1) return;
       // Walk back n1 steps to land on the cycle, then flip it.
       int v = relaxed_vertex;
@@ -762,7 +710,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
 
     const Residual r = build_residual();
     std::vector<char> usable(static_cast<std::size_t>(r.rg.num_arcs()), 1);
-    SsspResult sp = multi_source_sssp(r.rg, sources, r.len, usable, net, opt.sssp);
+    SsspResult sp = multi_source_sssp(r.rg, sources, r.len, usable, net);
     // Nearest reachable sink.
     int best_sink = -1;
     for (int v : sinks) {
@@ -805,7 +753,7 @@ MinCostIpmReport min_cost_flow_clique(const Digraph& g,
     }
   }
   rep.run.capture(net, rounds_before, words_before);
-  record_numerics();
+  if (rep.laplacian_solves > 0) rep.run.record_factor(fstats);
   return rep;
 }
 

@@ -22,7 +22,10 @@
 //
 // As with max flow, exactness never depends on IPM convergence; the
 // finishing-path and cancellation counts are the measured "distance from
-// the theory" reported in EXPERIMENTS.md.
+// the theory" reported in EXPERIMENTS.md.  The solves are charged as in the
+// max-flow IPM (one calibration on the initial resistances), eta = 1/14 is
+// fixed in mincost_ipm.cpp, and a diverging run always degrades to the
+// exact SSP baseline.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +34,12 @@
 #include "ckpt/checkpoint.hpp"
 #include "cliquesim/network.hpp"
 #include "cliquesim/run_info.hpp"
-#include "flow/distributed_sssp.hpp"
 #include "flow/electrical.hpp"
 #include "graph/digraph.hpp"
 
 namespace lapclique::flow {
 
 struct MinCostIpmOptions {
-  double eta = 1.0 / 14.0;  ///< Alg 7 line 13
   /// Scales the pseudocode's c_T * m^{1/2-3 eta} x m^{2 eta} budget.
   double iteration_scale = 1.0;
   std::int64_t max_iterations = 200000;
@@ -48,12 +49,6 @@ struct MinCostIpmOptions {
   /// Runtime::numerics in here when left at kAuto.
   linalg::Backend numerics = linalg::Backend::kAuto;
   double solve_eps = 1e-10;
-  SsspOptions sssp;
-  /// Guard rail: when the central-path state goes non-finite (solver
-  /// divergence, or the ipm-nan fault drill), degrade gracefully to the
-  /// exact sequential SSP baseline and set MinCostIpmReport::used_fallback
-  /// instead of propagating NaNs.  Set false to throw instead.
-  bool fallback_on_divergence = true;
   /// Checkpoint/resume participation (src/ckpt): `writer` commits a
   /// resumable snapshot at every due batch boundary, `resume` continues a
   /// checkpointed run bit-identically.  Both pointers non-owning.
@@ -64,10 +59,10 @@ struct MinCostIpmReport {
   bool feasible = false;
   std::int64_t cost = 0;
   std::vector<std::int64_t> flow;  ///< per original arc (0/1)
-  /// Shared accounting block: run.used_fallback means the IPM diverged and
-  /// the result came from the exact SSP baseline (feasible/cost/flow are
-  /// still exact; rounds include the "mincost/fallback" gather) — see
-  /// MinCostIpmOptions::fallback_on_divergence.
+  /// Shared accounting block: run.used_fallback means the central-path state
+  /// went non-finite (solver divergence, or the ipm-nan fault drill) and the
+  /// result came from the exact SSP baseline (feasible/cost/flow are still
+  /// exact; rounds include the "mincost/fallback" gather).
   RunInfo run;
   std::int64_t rounds_per_solve = 0;
   int ipm_iterations = 0;

@@ -285,8 +285,11 @@ TEST(GoldenRoundsSparse, E1LaplacianEpsSweepUnchangedUnderSparse) {
 }
 
 TEST(GoldenRoundsSparse, E3E4UnchangedUnderSparseRuntime) {
+  // The pinned counts are the charged-mode goldens; fix the routing mode so
+  // a LAPCLIQUE_ROUTING leg cannot move them.
   Runtime rt;
   rt.numerics = Backend::kSparse;
+  rt.routing_mode = clique::RoutingMode::kCharged;
 
   // E3: Eulerian orientation of the 16-cycle.
   const auto orient = eulerian_orientation(graph::cycle(16), rt);
